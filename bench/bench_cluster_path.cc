@@ -249,7 +249,8 @@ sweepThroughput(bool recompute, bool big, bool traced = false)
             simulated,
             elapsed,
             checksum,
-            runner.trace(t0).describe() + " x2 configs x2 traces"};
+            runner.trace(t0).describe() + " x2 configs x2 traces",
+            {}};
 }
 
 /** Run a traced arrival storm and write its Chrome trace-event JSON

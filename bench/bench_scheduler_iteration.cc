@@ -4,8 +4,9 @@
  * recompute-from-scratch path (PASCAL_FORCE_RESORT behaviour).
  *
  * Drives a scheduler through a faithful miniature of the Instance
- * engine loop — plan (or reuse), apply swaps/prefills/decodes against
- * a real KvPool, emit tokens through the dirty-set notification
+ * engine loop — plan (reuse, repair, or walk), apply
+ * swaps/prefills/decodes against a real KvPool, report every exec
+ * flip and emitted token through the dirty-set notification
  * contract, retire completions — with the simulator, performance
  * model, and accrual bookkeeping stripped away so the measured cost
  * is the scheduling path itself. Three workload shapes:
@@ -93,10 +94,17 @@ class MicroEngine
     bool
     step()
     {
-        if (sched->reusePlan(plan, pool))
+        switch (sched->patchPlan(plan, pool)) {
+          case core::PlanRung::Reuse:
             ++reuses;
-        else
+            break;
+          case core::PlanRung::Repair:
+            ++repairs;
+            break;
+          case core::PlanRung::Walk:
             sched->buildPlan(pool, plan);
+            break;
+        }
         if (plan.idle())
             return false;
         ++iterations;
@@ -106,17 +114,20 @@ class MicroEngine
         for (auto* r : plan.swapOut) {
             pool.moveToCpu(r->kvSlot);
             r->exec = ExecState::SwappedCpu;
+            sched->noteResidency(r);
             ++swaps;
         }
         for (auto* r : plan.swapIn) {
             pool.moveToGpu(r->kvSlot);
             r->exec = ExecState::ResidentGpu;
+            sched->noteResidency(r);
             ++swaps;
         }
         for (auto* r : plan.prefill) {
             r->kvSlot =
                 pool.allocGpu(r->id(), r->spec().promptTokens + 1);
             r->exec = ExecState::ResidentGpu;
+            sched->noteResidency(r);
         }
         for (auto* r : plan.decode)
             pool.growGpu(r->kvSlot, 1);
@@ -168,6 +179,7 @@ class MicroEngine
     Time clock = 0.0;
     std::uint64_t iterations = 0;
     std::uint64_t reuses = 0;
+    std::uint64_t repairs = 0;
     std::uint64_t decodeSlots = 0;
     std::uint64_t completions = 0;
     std::uint64_t swaps = 0;
@@ -179,6 +191,7 @@ struct ShapeResult
     std::string mode;
     std::uint64_t iterations;
     std::uint64_t reuses;
+    std::uint64_t repairs;
     double seconds;
     std::uint64_t checksum;
 
@@ -224,13 +237,14 @@ steadyState(bool force_resort)
     while (eng.iterations < 300)
         eng.step();
     std::uint64_t warmup_reuses = eng.reuses;
+    std::uint64_t warmup_repairs = eng.repairs;
     auto start = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < kIters; ++i)
         eng.step();
     double elapsed = secondsSince(start);
     return {"steady-state", force_resort ? "recompute" : "fast",
-            kIters, eng.reuses - warmup_reuses, elapsed,
-            eng.checksum()};
+            kIters, eng.reuses - warmup_reuses,
+            eng.repairs - warmup_repairs, elapsed, eng.checksum()};
 }
 
 /** churn: completions + arrivals + quantum rollovers every round. */
@@ -267,7 +281,8 @@ churn(bool force_resort)
     }
     double elapsed = secondsSince(start);
     return {"churn", force_resort ? "recompute" : "fast",
-            eng.iterations, eng.reuses, elapsed, eng.checksum()};
+            eng.iterations, eng.reuses, eng.repairs, elapsed,
+            eng.checksum()};
 }
 
 /** demotion-storm: everyone crosses the threshold on a tight pool. */
@@ -304,18 +319,20 @@ demotionStorm(bool force_resort)
     }
     double elapsed = secondsSince(start);
     return {"demotion-storm", force_resort ? "recompute" : "fast",
-            eng.iterations, eng.reuses, elapsed, eng.checksum()};
+            eng.iterations, eng.reuses, eng.repairs, elapsed,
+            eng.checksum()};
 }
 
 void
 print(const ShapeResult& r)
 {
     std::printf("%-15s %-9s %9llu iters  %8.3f s  %10.0f iters/s  "
-                "(%llu reused)\n",
+                "(%llu reused, %llu repaired)\n",
                 r.shape.c_str(), r.mode.c_str(),
                 static_cast<unsigned long long>(r.iterations), r.seconds,
                 r.itersPerSec(),
-                static_cast<unsigned long long>(r.reuses));
+                static_cast<unsigned long long>(r.reuses),
+                static_cast<unsigned long long>(r.repairs));
     std::fflush(stdout);
 }
 
@@ -395,6 +412,7 @@ try {
         json << "    {\"shape\": \"" << r.shape << "\", \"mode\": \""
              << r.mode << "\", \"iterations\": " << r.iterations
              << ", \"plan_reuses\": " << r.reuses
+             << ", \"plan_repairs\": " << r.repairs
              << ", \"seconds\": " << r.seconds
              << ", \"iters_per_sec\": " << r.itersPerSec() << "}"
              << (i + 1 < results.size() ? "," : "") << "\n";

@@ -262,24 +262,22 @@ Instance::startIteration()
     // A down instance executes nothing; recover() kicks it back on.
     if (!up)
         return;
-    // Steady-state fast path: when the scheduler observed no state
-    // change since it built the in-flight plan (the dominant
-    // decode-only regime), the previous plan is provably what a full
-    // replan would produce — run it again verbatim.
-    bool reused = sched->reusePlan(inflight, kvPool);
-    if (reused) {
+    // Plan-boundary fast path: rerun the lineage plan verbatim when
+    // nothing changed (the dominant decode-only regime), patch it by
+    // the journaled delta when the change was small and benign, and
+    // fall back to the full walk otherwise. A repair counts as a
+    // build too (it is a non-reused boundary — the coalescing gate's
+    // builds < arrivals invariant must keep seeing every boundary).
+    switch (sched->patchPlan(inflight, kvPool)) {
+      case core::PlanRung::Reuse:
         ++planReuses;
         if (trace != nullptr) {
             trace->instant(obs::TraceCat::Plan,
                            obs::TraceName::PlanReuse, instanceId,
                            sim.now());
         }
-    } else if (sched->repairPlan(inflight, kvPool)) {
-        // O(delta) middle path: verbatim reuse declined but the dirty
-        // set was small and benign, so the previous plan was patched
-        // in place. Counts as a build (it is a non-reused boundary —
-        // the coalescing gate's builds < arrivals invariant must keep
-        // seeing every boundary) and as a repair.
+        break;
+      case core::PlanRung::Repair:
         ++planBuilds;
         ++planRepairs;
         if (trace != nullptr) {
@@ -288,9 +286,10 @@ Instance::startIteration()
                            obs::TraceName::PlanRepair, instanceId,
                            sim.now(), obs::TraceArg::Reason,
                            static_cast<std::int64_t>(
-                               sched->lastReuseDecline()));
+                               sched->lastDecline()));
         }
-    } else {
+        break;
+      case core::PlanRung::Walk:
         sched->buildPlan(kvPool, inflight);
         ++planBuilds;
         if (trace != nullptr) {
@@ -299,8 +298,9 @@ Instance::startIteration()
                            obs::TraceName::PlanFullWalk, instanceId,
                            sim.now(), obs::TraceArg::Reason,
                            static_cast<std::int64_t>(
-                               sched->lastRepairDecline()));
+                               sched->lastDecline()));
         }
+        break;
     }
     // Plan construction itself can mutate monitor-visible state
     // (PASCAL applies demotions at the plan boundary), so the
@@ -390,16 +390,14 @@ Instance::startIteration()
     // On a freshly built plan the not-running residents' standing
     // bucket can flip (batch exit, or pipeline overhead when a
     // prefill pass stalls the decode stream); the greedy walk already
-    // recorded exactly those requests. Reused plans are pure decode
-    // with an unchanged batch, so every stamp is already current —
-    // steady-state iterations touch only the batch.
-    if (!reused) {
-        BucketKind kept_kind = plan.isPrefillIteration()
-                                   ? BucketKind::Executed
-                                   : BucketKind::Preempted;
-        for (auto* r : sched->keptResidents())
-            r->stampAccrual(t0, kept_kind);
-    }
+    // recorded exactly those requests. Reused and repaired plans hold
+    // every material member, so the record is empty and steady-state
+    // iterations touch only the batch.
+    BucketKind kept_kind = plan.isPrefillIteration()
+                               ? BucketKind::Executed
+                               : BucketKind::Preempted;
+    for (auto* r : sched->keptResidents())
+        r->stampAccrual(t0, kept_kind);
 
     // Scheduler contract: prefill and decode only coexist in chunked
     // mode (the default vLLM-style planner clears decode otherwise).

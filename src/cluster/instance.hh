@@ -275,8 +275,8 @@ class Instance
      *  non-reused boundary); numFullWalks() isolates the walks. */
     std::uint64_t numPlanBuilds() const { return planBuilds; }
     /** Non-reused boundaries satisfied by patching the previous plan
-     *  by its dirty set (IntraScheduler::repairPlan) instead of a
-     *  full material walk. Subset of numPlanBuilds(). */
+     *  by its dirty set (IntraScheduler::patchPlan's repair rung)
+     *  instead of a full material walk. Subset of numPlanBuilds(). */
     std::uint64_t numPlanRepairs() const { return planRepairs; }
     /** Non-reused boundaries that fell through to the O(material)
      *  buildPlan walk: numPlanBuilds() - numPlanRepairs(). */
@@ -416,7 +416,7 @@ class Instance
      *  the continuation closure) so the per-iteration event callback
      *  stays small enough for EventCallback's inline storage — the
      *  steady-state event loop then never heap-allocates. In the
-     *  decode-only steady state the scheduler's reusePlan() lets the
+     *  decode-only steady state the scheduler's patchPlan() lets the
      *  next iteration run this plan verbatim, so the buffers are
      *  never even rebuilt. */
     core::IterationPlan inflight;

@@ -93,7 +93,7 @@ IntraScheduler::enableIncremental()
     // queues, counters, and plan reuse stay incremental.
     repairDisabled = std::getenv("PASCAL_FORCE_REPAIR") != nullptr ||
                      limits.forcePlanRepair;
-    lastPlanRepairable = false;
+    lineage = false;
 }
 
 void
@@ -386,19 +386,19 @@ IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
     bool lineage_alive = repairActive();
     if (incremental) {
         lastKeptResidents.clear();
-        lastDecodeCapped.clear();
-        lastHighBudgetCap = -1;
+        lastWalkCapped = false;
     }
     planInto(pool, out);
     if (!incremental)
         return;
     stateChanged = false;
     lastPredictorVersion = currentPredictorVersion();
-    lastPlanReusable =
-        out.prefill.empty() && out.prewarm.empty() &&
-        out.swapIn.empty() && out.swapOut.empty() &&
-        !out.decode.empty() &&
-        lastDecodeCapped.size() == out.decode.size();
+    // A lineage plan: uncapped pure decode with every material member
+    // selected (no kept residents).
+    lastPlanReusable = out.prefill.empty() && out.prewarm.empty() &&
+                       out.swapIn.empty() && out.swapOut.empty() &&
+                       !out.decode.empty() && !lastWalkCapped &&
+                       lastKeptResidents.empty();
     if (lineage_alive && out.decode.empty() && out.swapIn.empty() &&
         out.swapOut.empty() &&
         (!out.prefill.empty() || !out.prewarm.empty())) {
@@ -409,76 +409,21 @@ IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
         // newly resident members journal their own inserts from
         // noteResidency when the engine applies this plan, exactly
         // like migration landings.
-        lastPlanRepairable = true;
         return;
     }
     planAge = 0;
-    if (lastPlanReusable && lastHighBudgetCap < 0) {
+    clearRepairJournal();
+    lineage = lastPlanReusable;
+    if (lineage) {
         auto block = static_cast<std::size_t>(pool.blockSize());
         blockOffsetHist.assign(block, 0);
         for (const auto* r : out.decode) {
             ++blockOffsetHist[static_cast<std::size_t>(
                 r->kvTokens() % pool.blockSize())];
         }
-    }
-    clearRepairJournal();
-    // A patchable lineage: uncapped pure decode with every material
-    // member selected (no kept residents), so the histogram is the
-    // whole budget story and membership deltas are the whole batch
-    // story. The force twin keeps the journal dark instead.
-    lastPlanRepairable = !repairDisabled && lastPlanReusable &&
-                         lastHighBudgetCap < 0 &&
-                         lastKeptResidents.empty();
-    if (lastPlanRepairable)
         basisDecode.assign(out.decode.begin(), out.decode.end());
+    }
     lastBlockSize = pool.blockSize();
-}
-
-bool
-IntraScheduler::reusePlan(const IterationPlan& prev,
-                          const model::KvPool& pool)
-{
-    reuseDecline = PlanDecline::None;
-    if (!incremental) {
-        reuseDecline = PlanDecline::Inactive;
-        return false;
-    }
-    if (!lastPlanReusable || stateChanged) {
-        reuseDecline = PlanDecline::StateChanged;
-        return false;
-    }
-    if (predictorMoved()) {
-        reuseDecline = PlanDecline::PredictorMoved;
-        return false;
-    }
-    // Deferred plan-time decisions (demotion) fire exactly here, the
-    // same point recompute mode applies them, so their timing relative
-    // to snapshots and callbacks is identical in both modes.
-    if (reuseVeto()) {
-        reuseDecline = PlanDecline::Veto;
-        return false;
-    }
-    if (lastHighBudgetCap < 0) {
-        // Uncapped walk: one integer comparison decides the whole
-        // budget revalidation (see blockOffsetHist).
-        TokenCount block = pool.blockSize();
-        std::uint64_t k = planAge + 1;
-        std::uint64_t crossings = blockOffsetHist[static_cast<
-            std::size_t>((static_cast<std::uint64_t>(block) -
-                          k % static_cast<std::uint64_t>(block)) %
-                         static_cast<std::uint64_t>(block))];
-        if (pool.gpuUsed() +
-                block * static_cast<TokenCount>(crossings) >
-            pool.gpuCapacity()) {
-            reuseDecline = PlanDecline::Budget;
-            return false;
-        }
-    } else if (!revalidate(prev, pool)) {
-        reuseDecline = PlanDecline::Budget;
-        return false;
-    }
-    ++planAge;
-    return true;
 }
 
 void
@@ -509,41 +454,71 @@ IntraScheduler::clearRepairJournal()
     }
     repairJournal.clear();
     repairBail = false;
-    lastPlanRepairable = false;
+    lineage = false;
 }
 
 bool
-IntraScheduler::repairPlan(IterationPlan& prev,
-                           const model::KvPool& pool)
+IntraScheduler::lineageFits(const model::KvPool& pool) const
 {
-    repairDecline = PlanDecline::None;
-    if (!repairActive()) {
-        repairDecline = repairBail ? PlanDecline::Bailed
-                                   : PlanDecline::Inactive;
-        return false;
+    // At this boundary the lineage has run planAge times and is about
+    // to run again (k-th execution): the members whose build-time
+    // offset is block - k (mod block) cross a block boundary now.
+    const auto block = static_cast<std::uint64_t>(lastBlockSize);
+    const std::uint64_t k = planAge + 1;
+    const std::uint64_t crossings =
+        blockOffsetHist[static_cast<std::size_t>((block - k % block) %
+                                                 block)];
+    return pool.gpuUsed() + static_cast<TokenCount>(block) *
+                                static_cast<TokenCount>(crossings) <=
+           pool.gpuCapacity();
+}
+
+PlanRung
+IntraScheduler::patchPlan(IterationPlan& prev, const model::KvPool& pool)
+{
+    decline = PlanDecline::None;
+    if (!incremental || !lineage) {
+        decline = PlanDecline::Inactive;
+        return PlanRung::Walk;
     }
-    // Deferred plan-time decisions (PASCAL's demotions) fire at every
-    // boundary in recompute mode; reusePlan's veto only reaches them
-    // when its earlier gates pass, so re-run them here. Idempotent,
-    // and any applied demotion journals its own re-key.
+    // Verbatim reuse: the repair of an empty journal. Deferred
+    // plan-time decisions (PASCAL's demotions) fire at every boundary
+    // in recompute mode, so both rungs apply them before reading the
+    // state; any that fires journals its own re-key.
+    if (!lastPlanReusable || stateChanged) {
+        decline = PlanDecline::StateChanged;
+    } else if (predictorMoved()) {
+        decline = PlanDecline::PredictorMoved;
+    } else if (applyDeferredDecisions()) {
+        decline = PlanDecline::Veto;
+    } else if (lineageFits(pool)) {
+        ++planAge;
+        return PlanRung::Reuse;
+    } else {
+        decline = PlanDecline::Budget;
+    }
+
+    if (!repairActive()) {
+        decline = repairBail ? PlanDecline::Bailed : PlanDecline::Inactive;
+        return PlanRung::Walk;
+    }
     applyDeferredDecisions();
     if (repairBail || predictorMoved() || !waitingPrompts.empty() ||
         waitingPrewarmCount > 0 ||
         pool.numTracked() != pool.numGpuResident()) {
-        repairDecline =
+        decline =
             repairBail ? PlanDecline::Bailed
             : predictorMoved()
                 ? PlanDecline::PredictorMoved
                 : (!waitingPrompts.empty() || waitingPrewarmCount > 0)
                       ? PlanDecline::WaitingWork
                       : PlanDecline::SwappedMembers;
-        return false;
+        return PlanRung::Walk;
     }
 
-    // Fold the journal into the histogram and collect the patch. At
-    // this boundary the lineage has run planAge times and is about to
-    // run again (k-th execution), so a member whose KV is kv now
-    // behaves like a build-time member with offset kv - k (mod B).
+    // Fold the journal into the histogram and collect the patch: a
+    // member whose KV is kv now behaves like a build-time member with
+    // offset kv - k (mod B), k = planAge + 1 (see lineageFits).
     const std::uint64_t k = planAge + 1;
     const std::int64_t block = static_cast<std::int64_t>(lastBlockSize);
     repairPatch.clear();
@@ -553,8 +528,8 @@ IntraScheduler::repairPlan(IterationPlan& prev,
         switch (e.op) {
           case kRepairErase:
             // Self-contained: bucket recorded at remove time, member
-            // guaranteed present in the basis (repairable builds
-            // select every material member). Never dereferenced — the
+            // guaranteed present in the basis (lineage builds select
+            // every material member). Never dereferenced — the
             // departed request's arena slot may already host an
             // unrelated arrival — so the splice goes by pointer
             // identity.
@@ -597,33 +572,22 @@ IntraScheduler::repairPlan(IterationPlan& prev,
 
     // Exact budget + cap check over the patched batch: under the
     // eligibility conditions every material member is in the batch,
-    // so the full walk's admission total is exactly
-    // gpuUsed + block * crossings — if it fits, the walk admits
-    // everyone in eviction-priority order with no evictions, which is
+    // so if the histogram check passes the full walk admits everyone
+    // in eviction-priority order with no evictions, which is
     // precisely the merged batch below.
-    const std::uint64_t kb = k % static_cast<std::uint64_t>(block);
-    const std::size_t cross_idx = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(block) - kb) %
-        static_cast<std::uint64_t>(block));
-    const std::uint64_t crossings = blockOffsetHist[cross_idx];
-    if (batch <= 0 ||
-        batch > static_cast<std::int64_t>(limits.maxBatchSize) ||
-        pool.gpuUsed() + static_cast<TokenCount>(block) *
-                             static_cast<TokenCount>(crossings) >
-            pool.gpuCapacity()) {
-        repairDecline =
-            (batch <= 0 ||
-             batch > static_cast<std::int64_t>(limits.maxBatchSize))
-                ? PlanDecline::BatchLimit
-                : PlanDecline::Budget;
+    const bool batch_ok =
+        batch > 0 &&
+        batch <= static_cast<std::int64_t>(limits.maxBatchSize);
+    if (!batch_ok || !lineageFits(pool)) {
+        decline = batch_ok ? PlanDecline::Budget : PlanDecline::BatchLimit;
         // Bail to the full walk: clear the transient splice marks —
         // every flagged member is in the patch (erases are flagless)
         // — and let buildPlan rebuild the moot half-patched
         // histogram.
         for (auto* r : repairPatch)
             r->schedRepairSplice = false;
-        lastPlanRepairable = false;
-        return false;
+        lineage = false;
+        return PlanRung::Walk;
     }
 
     // Splice + ordered merge against the scheduler-held basis (the
@@ -660,50 +624,15 @@ IntraScheduler::repairPlan(IterationPlan& prev,
     basisDecode.assign(prev.decode.begin(), prev.decode.end());
 
     // The patched plan is byte-for-byte what buildPlan would emit, so
-    // the lineage continues — and is again a reusable pure-decode
-    // plan, even when the boundary followed an excursion. Kept
-    // residents are cleared: the patched batch holds every material
-    // member, so there is nothing for the engine to restamp.
-    // (lastDecodeCapped is left stale on purpose — it is only ever
-    // consulted when lastHighBudgetCap >= 0, which a repairable
-    // lineage excludes.)
+    // the lineage continues — and the in-flight plan is again the
+    // lineage plan, even when the boundary followed an excursion.
+    // Kept residents are cleared: the patched batch holds every
+    // material member, so there is nothing for the engine to restamp.
     lastPlanReusable = true;
     lastKeptResidents.clear();
     stateChanged = false;
     ++planAge;
-    return true;
-}
-
-bool
-IntraScheduler::revalidate(const IterationPlan& prev,
-                           const model::KvPool& pool) const
-{
-    if (lastDecodeCapped.size() != prev.decode.size())
-        return false;
-    TokenCount budget = pool.gpuCapacity();
-    TokenCount high =
-        lastHighBudgetCap >= 0 ? lastHighBudgetCap : budget;
-    for (std::size_t i = 0; i < prev.decode.size(); ++i) {
-        const auto* r = prev.decode[i];
-        TokenCount cost = pool.chargeFor(r->kvTokens() + 1);
-        bool capped = lastDecodeCapped[i] != 0;
-        TokenCount avail = capped ? std::min(budget, high) : budget;
-        if (cost > avail)
-            return false;
-        budget -= cost;
-        if (capped)
-            high -= cost;
-    }
-    // Unselected residents were kept, not evicted; they still must
-    // fit in the leftover (their own KV did not grow — they did not
-    // run — but the decode batch's growth shrank the leftover).
-    for (const auto* r : lastKeptResidents) {
-        TokenCount cost = pool.chargeFor(r->kvTokens());
-        if (cost > budget)
-            return false;
-        budget -= cost;
-    }
-    return true;
+    return PlanRung::Repair;
 }
 
 void
@@ -770,12 +699,10 @@ IntraScheduler::finishGreedySelect(const model::KvPool& pool,
         // Selected decode candidates stay resident and run next
         // iteration; swap-ins still execute so they are ready. The
         // displaced members join the kept-resident record so the
-        // engine's lazy-accrual restamp covers them (never reused:
-        // reusePlan requires an empty prefill list).
+        // engine's lazy-accrual restamp covers them.
         for (auto* r : out.decode)
             unselected_residents.push_back(r);
         out.decode.clear();
-        lastDecodeCapped.clear();
     } else {
         // Prewarmed requests join the decode batch immediately: their
         // KV allocation is free of charge. Under chunked prefill the

@@ -22,8 +22,9 @@
  *    queues, the r_i / a_i monitor counters, and demotion candidates
  *    across iterations, repairing only requests whose ordering key
  *    actually changed. In the dominant decode-only steady state
- *    reusePlan() lets the instance run the previous IterationPlan
- *    verbatim, skipping plan construction entirely.
+ *    patchPlan() lets the instance run the previous IterationPlan
+ *    verbatim (or patched by a bounded delta), skipping plan
+ *    construction entirely.
  *
  * Incremental mode relies on the *dirty-set contract*: every mutation
  * of a hosted request's scheduler-visible state must reach the
@@ -127,19 +128,32 @@ maybeSkipWaiting(It& it)
 }
 
 /**
- * Why a plan-boundary fast path declined, recorded per boundary for
- * the telemetry layer: reusePlan()'s decline reason annotates the
- * repair trace event, repairPlan()'s annotates the full-walk event.
- * Purely observational — never consulted by scheduling decisions.
+ * Which plan-boundary rung patchPlan() ran: the lineage plan again
+ * verbatim, the lineage plan patched by the journaled dirty set, or
+ * neither (the caller then runs the full buildPlan() walk).
+ */
+enum class PlanRung : std::uint8_t
+{
+    Reuse,
+    Repair,
+    Walk,
+};
+
+/**
+ * Why a plan-boundary rung declined, recorded per boundary for the
+ * telemetry layer: on a repair it says why verbatim reuse declined,
+ * on a full walk why the repair declined. Purely observational —
+ * never consulted by scheduling decisions.
  */
 enum class PlanDecline : std::uint8_t
 {
     None = 0,       //!< The path ran (or was never consulted).
-    Inactive,       //!< Fast path off (recompute mode / force twin).
+    Inactive,       //!< No live lineage (recompute mode, force twin,
+                    //!< or the last walk was no lineage plan).
     StateChanged,   //!< Membership/key/queue change since last build.
     PredictorMoved, //!< Predictor version bumped under spec keys.
     Veto,           //!< Policy veto (PASCAL's deferred demotion).
-    Budget,         //!< Paged-memory revalidation failed.
+    Budget,         //!< Paged-memory budget check failed.
     WaitingWork,    //!< Waiting admission candidates exist.
     SwappedMembers, //!< Tracked KV not fully GPU-resident.
     Bailed,         //!< Lineage bailed (unjournalable mutation).
@@ -205,42 +219,33 @@ class IntraScheduler
     }
 
     /**
-     * Steady-state fast path: true if @p prev (the plan built by the
-     * last buildPlan() and since executed once) is still *exactly*
-     * what buildPlan() would produce, in which case the instance runs
-     * it again verbatim. Holds when (a) incremental mode is on, (b)
-     * the previous plan was pure decode (no prefill / prewarm /
-     * swaps), (c) no membership, key, demotion, or predictor change
-     * was observed since, and (d) re-walking the recorded selection
-     * against the pool shows every decode member still fits and every
-     * kept resident still holds its memory. (d) is O(batch) integer
-     * arithmetic — no sorting, no allocation, no predictor calls.
-     */
-    bool reusePlan(const IterationPlan& prev, const model::KvPool& pool);
-
-    /**
-     * Delta fast path when reusePlan() declines: patch @p prev (the
-     * previous iteration's plan) by the journaled dirty set instead
-     * of re-walking every material queue. Departed / demoted-and-
-     * re-keyed members are spliced out of the decode batch, landed
-     * arrivals and re-keyed members are merged back in at their
-     * ResidentEvictOrder rank, and the paged-memory budget check
-     * re-runs over the maintained block-offset histogram (patched by
-     * the same deltas) — O(delta log delta + batch) with no queue
-     * walk, no predictor calls, and no allocation once warm.
+     * Plan-boundary fast path over the live *lineage*: the run of
+     * boundaries that keep rerunning or patching one walked lineage
+     * plan — an uncapped pure-decode plan that selected every
+     * material member, so the block-offset histogram is the whole
+     * budget story and membership deltas are the whole batch story.
+     * Capped and kept-resident plans start no lineage; they walk.
      *
-     * Eligibility mirrors the conditions under which the patched
-     * batch provably equals what buildPlan() would produce: the
-     * previous plan must be an uncapped pure-decode plan with no kept
-     * residents (every material member in the batch), no waiting
-     * admission candidates, no swapped members, no predictor
-     * movement, and the patched batch must fit the capacity exactly
-     * as the full walk would conclude. Anything else returns false
-     * and the caller falls back to buildPlan(). Disabled (always
-     * false) by SchedLimits::forcePlanRepair / PASCAL_FORCE_REPAIR —
-     * the plan-repair force twin.
+     *  - Reuse: @p prev is the lineage plan and no membership, key,
+     *    demotion, or predictor change was observed since it was
+     *    built, so it runs again verbatim once the O(1) histogram
+     *    budget check passes. Waiting work may be present: nothing
+     *    changed, so the walk would still not admit it.
+     *  - Repair: the change is in the journal. Departed / re-keyed
+     *    members are spliced out of the lineage batch, landed and
+     *    re-keyed members are merged back in at their
+     *    ResidentEvictOrder rank, and the budget check re-runs over
+     *    the histogram patched by the same deltas — O(delta log delta
+     *    + batch) with no queue walk, no predictor calls, and no
+     *    allocation once warm. Eligible only with no waiting
+     *    admission candidates, no swapped members and no predictor
+     *    movement, so the patched batch provably equals the walk's.
+     *    Disabled by SchedLimits::forcePlanRepair /
+     *    PASCAL_FORCE_REPAIR (the force twin keeps the journal dark;
+     *    verbatim reuse still runs).
+     *  - Walk: neither applies; the caller must run buildPlan().
      */
-    bool repairPlan(IterationPlan& prev, const model::KvPool& pool);
+    PlanRung patchPlan(IterationPlan& prev, const model::KvPool& pool);
 
     /** Notification that @p req crossed the reasoning->answering
      *  boundary and stays on this instance. */
@@ -317,12 +322,10 @@ class IntraScheduler
         return lastKeptResidents;
     }
 
-    /** Why the last reusePlan() call declined (None if it reused). */
-    PlanDecline lastReuseDecline() const { return reuseDecline; }
-
-    /** Why the last repairPlan() call declined (None if it
-     *  repaired). */
-    PlanDecline lastRepairDecline() const { return repairDecline; }
+    /** Why the last patchPlan() call did not reuse verbatim: after a
+     *  Repair, why the verbatim rung declined; after a Walk, why the
+     *  repair declined (None after a Reuse). */
+    PlanDecline lastDecline() const { return decline; }
 
     /** Lazy-erase compactions of the maintained eviction-order
      *  structure (stat registry: <instance>.queue.compactions). */
@@ -376,15 +379,6 @@ class IntraScheduler
     }
 
     /**
-     * Last gate before verbatim plan reuse; runs any deferred
-     * decisions that recompute mode would take at plan time (PASCAL's
-     * demotion rule). Return true to veto the reuse. May mutate
-     * scheduler state (an applied demotion both vetoes and updates
-     * the queues).
-     */
-    virtual bool reuseVeto() { return false; }
-
-    /**
      * A linked member's materiality flipped in place (a
      * prefill/prewarm allocation — @p delta is +1, or -1
      * defensively): forward to the owning queue's noteMaterialized()
@@ -419,14 +413,14 @@ class IntraScheduler
     void noteKeyChanged(workload::Request* req);
 
     /**
-     * Plan-boundary hook run by repairPlan() before it patches:
-     * apply any decisions your reuseVeto() would have taken (PASCAL's
-     * deferred demotions), so a boundary that skips reusePlan's veto
-     * (because stateChanged was already set) still applies them at
-     * the same point recompute mode does. Must journal its own key
-     * changes via noteKeyChanged().
+     * Plan-boundary hook run by patchPlan() before it reuses or
+     * patches: apply any decisions recompute mode takes at plan time
+     * (PASCAL's deferred demotions), at the same point recompute mode
+     * does. Must be idempotent and journal its own key changes via
+     * noteKeyChanged(). Return true if any decision fired: verbatim
+     * reuse is then off and the boundary falls to the repair.
      */
-    virtual void applyDeferredDecisions() {}
+    virtual bool applyDeferredDecisions() { return false; }
 
     /** Recompute @p req's contribution to the maintained monitor
      *  counters from its live state. */
@@ -473,9 +467,9 @@ class IntraScheduler
      * The ranges are templated so the skip-list queues are consumed
      * in place — no O(n) copy into a scratch order per plan.
      *
-     * In incremental mode the walk also records the reuse-validation
-     * state (per-decode-member budget caps and the kept residents)
-     * that reusePlan() re-checks each steady-state iteration.
+     * In incremental mode the walk also records what decides whether
+     * its plan starts a lineage (see patchPlan()): whether the high
+     * range was capped, and the kept residents.
      *
      * @param cap_high Charge the high range against
      *        @p high_budget_cap as well as the global budget
@@ -524,8 +518,7 @@ class IntraScheduler
         std::vector<workload::Request*>& unselected_residents =
             lastKeptResidents; // Reused buffer; doubles as the record.
         unselected_residents.clear();
-        lastDecodeCapped.clear();
-        lastHighBudgetCap = cap_high ? high_budget_cap : -1;
+        lastWalkCapped = cap_high;
 
         // True once no waiting candidate can join the batch. Every
         // input is monotone along the walk (budget shrinks,
@@ -654,7 +647,6 @@ class IntraScheduler
                 }
                 admitted = true;
                 out.decode.push_back(r);
-                lastDecodeCapped.push_back(capped ? 1 : 0);
                 break;
               }
               case workload::ExecState::SwappedCpu: {
@@ -669,7 +661,6 @@ class IntraScheduler
                 admitted = true;
                 out.swapIn.push_back(r);
                 out.decode.push_back(r);
-                lastDecodeCapped.push_back(capped ? 1 : 0);
                 break;
               }
               default:
@@ -766,9 +757,9 @@ class IntraScheduler
                             IterationPlan& out,
                             TokenCount leftover_budget);
 
-    /** O(batch) re-walk of the recorded greedy selection. */
-    bool revalidate(const IterationPlan& prev,
-                    const model::KvPool& pool) const;
+    /** The lineage batch still fits the pool at this boundary (the
+     *  O(1) histogram budget check; see blockOffsetHist). */
+    bool lineageFits(const model::KvPool& pool) const;
 
     /** Recompute-mode counter scans. */
     int scanReasoning() const;
@@ -818,8 +809,8 @@ class IntraScheduler
 
     /** @} */
 
-    /** @name Plan-repair journal (the dirty set of the active plan
-     *  lineage; see repairPlan()) */
+    /** @name Plan-repair journal (the dirty set of the live plan
+     *  lineage; see patchPlan()) */
     /** @{ */
 
     /** Journal ops, also stored in Request::schedRepairState (which
@@ -838,16 +829,16 @@ class IntraScheduler
         std::uint32_t histIdx;
     };
 
-    /** True while mutations must be journaled: the last build left a
-     *  repairable lineage that has not bailed. */
+    /** True while mutations must be journaled: a lineage is live,
+     *  the repair rung is on, and the lineage has not bailed. */
     bool
     repairActive() const
     {
-        return incremental && lastPlanRepairable && !repairBail;
+        return incremental && lineage && !repairDisabled && !repairBail;
     }
 
-    /** Reset the journal and per-request journal states (end of every
-     *  lineage-ending buildPlan). */
+    /** Reset the journal and per-request journal states and end the
+     *  lineage (every lineage-ending buildPlan). */
     void clearRepairJournal();
 
     std::vector<RepairEntry> repairJournal;
@@ -856,12 +847,14 @@ class IntraScheduler
      *  landing): the lineage cannot be repaired, only rebuilt. */
     bool repairBail = false;
 
-    /** The last buildPlan produced a patchable plan: uncapped pure
-     *  decode with every material member selected. */
-    bool lastPlanRepairable = false;
+    /** A lineage is live: the last lineage-ending walk produced a
+     *  lineage plan (see patchPlan()), possibly since followed by
+     *  reuses, repairs and prefill-only excursions. */
+    bool lineage = false;
 
-    /** forcePlanRepair / PASCAL_FORCE_REPAIR: the repair fast path is
-     *  disabled and every non-reused boundary pays the full walk. */
+    /** forcePlanRepair / PASCAL_FORCE_REPAIR: the repair rung is
+     *  disabled and the journal stays dark; verbatim reuse still
+     *  runs. */
     bool repairDisabled = false;
 
     /** Pool block size at the last build (remove() has no pool). */
@@ -894,34 +887,33 @@ class IntraScheduler
 
     /** @} */
 
-    /** Telemetry: why the last reuse / repair attempt declined. */
-    PlanDecline reuseDecline = PlanDecline::None;
-    PlanDecline repairDecline = PlanDecline::None;
+    /** Telemetry: see lastDecline(). */
+    PlanDecline decline = PlanDecline::None;
 
     /** Any membership/key/queue change since the last buildPlan. */
     bool stateChanged = true;
 
-    /** Last plan qualifies for verbatim reuse (pure decode). */
+    /** The in-flight plan is the lineage plan itself (not a
+     *  prefill-only excursion), so it may run again verbatim. */
     bool lastPlanReusable = false;
 
     std::uint64_t lastPredictorVersion = 0;
 
-    /** @name Reuse-validation record of the last greedy walk */
+    /** @name Lineage record of the last greedy walk */
     /** @{ */
     std::vector<workload::Request*> lastKeptResidents;
-    std::vector<std::uint8_t> lastDecodeCapped;
-    TokenCount lastHighBudgetCap = -1; //!< -1: no high-queue cap.
+    bool lastWalkCapped = false;
 
     /**
-     * O(1) steady-state budget check (uncapped walks only): histogram
-     * of the decode members' kv % blockSize at build time. During a
-     * run of verbatim reuses every member's KV grows by exactly one
-     * token per iteration, so the number of members crossing a paged
-     * block boundary at reuse k is blockOffsetHist[(block - k%block) %
-     * block], and the whole walk revalidation collapses to
+     * O(1) lineage budget check: histogram of the lineage batch's
+     * kv % blockSize at build time. During a run of verbatim reuses
+     * every member's KV grows by exactly one token per iteration, so
+     * the number of members crossing a paged block boundary at reuse
+     * k is blockOffsetHist[(block - k%block) % block], and the whole
+     * walk's budget check collapses to
      *   gpuUsed + blockSize * crossings <= capacity
-     * (selection prefix sums and the kept-resident walk are both
-     * bounded by that total when no per-member cap applies).
+     * (the selection prefix sums are bounded by that total when every
+     * material member is selected and no per-member cap applies).
      */
     std::vector<std::uint32_t> blockOffsetHist;
 

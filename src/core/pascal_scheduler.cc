@@ -78,7 +78,7 @@ PascalScheduler::demote(workload::Request* req)
 }
 
 bool
-PascalScheduler::processPendingDemotions()
+PascalScheduler::applyDeferredDecisions()
 {
     bool any = false;
     for (auto* r : demotionCandidates) {
@@ -99,18 +99,6 @@ PascalScheduler::processPendingDemotions()
     }
     demotionCandidates.clear();
     return any;
-}
-
-bool
-PascalScheduler::reuseVeto()
-{
-    return processPendingDemotions();
-}
-
-void
-PascalScheduler::applyDeferredDecisions()
-{
-    processPendingDemotions();
 }
 
 void
@@ -258,7 +246,7 @@ PascalScheduler::incrementalPlan(const model::KvPool& pool,
         }
         noteStateChanged();
     }
-    processPendingDemotions();
+    applyDeferredDecisions();
     highQueue.repair();
     lowQueue.repair();
 

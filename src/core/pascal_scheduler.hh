@@ -91,12 +91,15 @@ class PascalScheduler : public IntraScheduler
     void onHostedRemoved(workload::Request* req) override;
     void onRequestExecuted(workload::Request* req,
                            bool quanta_changed) override;
-    /** Applies pending demotions; vetoes the reuse if any fired. */
-    bool reuseVeto() override;
-    /** Plan-repair boundary: apply pending demotions (journaled as
-     *  re-keys) so the patch path demotes exactly when recompute
-     *  mode's plan-time applyDemotion scan would. */
-    void applyDeferredDecisions() override;
+    /**
+     * Incremental mode: re-check the demotion rule for the pending
+     * candidates only (requests whose KV or prediction moved), at
+     * every plan boundary, so the fast path demotes exactly when
+     * recompute mode's plan-time applyDemotion scan would. Demotions
+     * are journaled as re-keys.
+     * @return true if any request was demoted.
+     */
+    bool applyDeferredDecisions() override;
     void onMaterialChanged(workload::Request* req,
                            int delta) override;
     bool keysUsePredictions() const override
@@ -154,13 +157,6 @@ class PascalScheduler : public IntraScheduler
     /** Recompute mode: apply the demotion rule to every hosted
      *  reasoning request. */
     void applyDemotion();
-
-    /**
-     * Incremental mode: re-check the demotion rule for the pending
-     * candidates only (requests whose KV or prediction moved).
-     * @return true if any request was demoted.
-     */
-    bool processPendingDemotions();
 
     /** Demote @p req into the low queue (flag, quantum, queues). */
     void demote(workload::Request* req);

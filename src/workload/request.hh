@@ -354,8 +354,8 @@ class Request
      *  (core::IntraScheduler repair ops; 0 = not journaled). */
     std::uint8_t schedRepairState = 0;
 
-    /** Transient mark used by repairPlan's splice-and-merge to drop
-     *  patched members from the surviving decode batch. */
+    /** Transient mark used by the plan repair's splice-and-merge to
+     *  drop patched members from the surviving decode batch. */
     bool schedRepairSplice = false;
 
     /** Queued-prewarm membership in the scheduler's waitingPrewarm

@@ -153,9 +153,9 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
     EXPECT_DOUBLE_EQ(counter_value("cluster.plan.builds"),
                      static_cast<double>(clu.totalPlanBuilds()));
     EXPECT_DOUBLE_EQ(counter_value("cluster.plan.repairs"),
-                     static_cast<double>(result.numPlanRepairs));
+                     static_cast<double>(clu.totalPlanRepairs()));
     EXPECT_DOUBLE_EQ(counter_value("cluster.plan.full_walks"),
-                     static_cast<double>(result.numFullWalks));
+                     static_cast<double>(clu.totalFullWalks()));
     EXPECT_DOUBLE_EQ(counter_value("cluster.slo.rekeys"),
                      static_cast<double>(clu.totalSloHeapRekeys()));
     EXPECT_DOUBLE_EQ(counter_value("cluster.view.refreshes"),

@@ -24,6 +24,7 @@
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/core/pascal_scheduler.hh"
+#include "src/obs/stat_registry.hh"
 #include "src/workload/generator.hh"
 #include "tests/run_result_util.hh"
 #include "tests/scheduler_test_util.hh"
@@ -399,6 +400,17 @@ swapThrashTrace(std::uint64_t seed, int n = 250)
     return workload::generateTrace(profile, n, 30.0, rng);
 }
 
+/** A cluster-level plan-rung counter (cluster.plan.*) from the run's
+ *  stat dump, the single source of those counts. */
+std::uint64_t
+planStat(const cluster::RunResult& result, const std::string& name)
+{
+    const obs::StatValue* stat =
+        obs::findStat(result.statsDump, "cluster.plan." + name);
+    EXPECT_NE(stat, nullptr) << "missing stat cluster.plan." << name;
+    return stat ? static_cast<std::uint64_t>(stat->value) : 0;
+}
+
 SystemConfig
 repairConfig(SchedulerType sched, predict::PredictorConfig pred,
              TokenCount capacity)
@@ -428,6 +440,7 @@ TEST_F(PlanReuseInvariance, PlanRepairGridByteIdentical)
     {
         SchedulerType sched;
         std::string predictor;
+        double answeringReserve = 0.0;
     };
     std::vector<GridPoint> grid;
     for (SchedulerType sched :
@@ -443,23 +456,55 @@ TEST_F(PlanReuseInvariance, PlanRepairGridByteIdentical)
         for (const char* kind : {"oracle", "noisy", "profile"})
             grid.push_back({sched, kind});
     }
+    // The capped regime: PASCAL's answering reserve caps the high
+    // queue, so its plans start no lineage and always walk. These
+    // points are also checked against the recompute twin below.
+    grid.push_back({SchedulerType::Pascal, "none", 0.2});
+    grid.push_back({SchedulerType::PascalSpec, "profile", 0.2});
 
     auto transition = transitionTrace(77);
     auto thrash = swapThrashTrace(78);
     for (const auto& point : grid) {
         SCOPED_TRACE(std::string("scheduler ") +
                      std::to_string(static_cast<int>(point.sched)) +
-                     " predictor " + point.predictor);
+                     " predictor " + point.predictor + " reserve " +
+                     std::to_string(point.answeringReserve));
         for (const workload::Trace* trace : {&transition, &thrash}) {
             SystemConfig cfg =
                 repairConfig(point.sched, predictorNamed(point.predictor),
                              trace == &thrash ? 3072 : 32768);
+            cfg.limits.answeringReserveFraction = point.answeringReserve;
             cfg.limits.forcePlanRepair = false;
             auto fast = cluster::RunContext::execute(cfg, *trace);
             cfg.limits.forcePlanRepair = true;
             auto reference = cluster::RunContext::execute(cfg, *trace);
             test::expectIdentical(fast, reference);
+            if (point.answeringReserve > 0.0) {
+                cfg.limits.forcePlanRepair = false;
+                cfg.limits.forceResort = true;
+                test::expectIdentical(
+                    fast, cluster::RunContext::execute(cfg, *trace));
+            }
         }
+    }
+}
+
+TEST_F(PlanReuseInvariance, BatchCappedKeptResidentsByteIdentical)
+{
+    // A batch cap far below the material set leaves residents kept
+    // but unselected at most boundaries. Such plans start no lineage:
+    // the repair journal assumes every material member is in the
+    // batch, so reusing or patching them would diverge from the walk.
+    auto trace = transitionTrace(303, 200);
+    for (SchedulerType sched :
+         {SchedulerType::Fcfs, SchedulerType::Rr,
+          SchedulerType::Pascal}) {
+        SCOPED_TRACE("scheduler " +
+                     std::to_string(static_cast<int>(sched)));
+        SystemConfig cfg =
+            repairConfig(sched, predictorNamed("none"), 4096);
+        cfg.limits.maxBatchSize = 4;
+        expectModesIdentical(cfg, trace);
     }
 }
 
@@ -503,8 +548,8 @@ TEST_F(PlanReuseFastPath, RepairsOutnumberFullWalksOnTransitionStorm)
                                     predictorNamed("none"), 32768);
     auto result =
         cluster::RunContext::execute(cfg, transitionTrace(99, 500));
-    EXPECT_GT(result.numPlanRepairs, 0u);
-    EXPECT_GT(result.numPlanRepairs, result.numFullWalks);
+    EXPECT_GT(planStat(result, "repairs"), 0u);
+    EXPECT_GT(planStat(result, "repairs"), planStat(result, "full_walks"));
 }
 
 TEST_F(PlanReuseFastPath, ForcePlanRepairKeepsTheJournalDark)
@@ -514,17 +559,25 @@ TEST_F(PlanReuseFastPath, ForcePlanRepairKeepsTheJournalDark)
         GTEST_SKIP() << "fast path globally disabled by env";
     // The force twin must not merely decline at the repair gate but
     // never journal at all: with forcePlanRepair set, every non-reused
-    // boundary is a full walk.
+    // boundary is a full walk. It turns the patch off, not verbatim
+    // reuse: the lineage plans still rerun.
     SystemConfig cfg = repairConfig(SchedulerType::Pascal,
                                     predictorNamed("none"), 32768);
     auto trace = transitionTrace(101, 300);
     cfg.limits.forcePlanRepair = true;
-    auto forced = cluster::RunContext::execute(cfg, trace);
-    EXPECT_EQ(forced.numPlanRepairs, 0u);
-    EXPECT_GT(forced.numFullWalks, 0u);
+    cluster::RunContext forced_run(cfg);
+    forced_run.submit(trace);
+    forced_run.run();
+    auto forced = forced_run.result();
+    std::uint64_t forced_reuses = 0;
+    for (const auto& inst : forced_run.cluster().getInstances())
+        forced_reuses += inst->numPlanReuses();
+    EXPECT_GT(forced_reuses, 0u);
+    EXPECT_EQ(planStat(forced, "repairs"), 0u);
+    EXPECT_GT(planStat(forced, "full_walks"), 0u);
     cfg.limits.forcePlanRepair = false;
     auto fast = cluster::RunContext::execute(cfg, trace);
-    EXPECT_GT(fast.numPlanRepairs, 0u);
+    EXPECT_GT(planStat(fast, "repairs"), 0u);
     test::expectIdentical(fast, forced);
 }
 
