@@ -33,8 +33,7 @@ struct Outcome
 Outcome
 run(const workload::Trace& trace, cluster::SystemConfig cfg)
 {
-    cluster::ServingSystem system(cfg);
-    auto result = system.run(trace);
+    auto result = cluster::RunContext::execute(cfg, trace);
     return {result.aggregate.p99Ttft, result.aggregate.meanTtft,
             100.0 * result.aggregate.sloViolationRate,
             result.aggregate.throughputTokensPerSec,

@@ -65,9 +65,7 @@ struct ChaosRow
     double meanTtft = 0.0;
     double p99Ttft = 0.0;
     bool invariantsOk = true;
-    std::array<cluster::RunResult::ClassOutcome,
-               workload::kNumSloClasses>
-        perClass{};
+    std::array<cluster::ClassOutcome, workload::kNumSloClasses> perClass{};
     obs::StatDump stats;
 };
 

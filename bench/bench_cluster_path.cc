@@ -5,8 +5,8 @@
  * min-deadline SLO heap + skip-list queues + lazy accrual +
  * incremental cluster view) vs the all-force recompute twin — the
  * all-ones corner of the force-mode matrix the invariance tests pin
- * (PASCAL_FORCE_REPAIR + PASCAL_FORCE_KICK + PASCAL_FORCE_VIEW +
- * PASCAL_FORCE_RESORT + PASCAL_FORCE_ACCRUE), i.e. the seed's
+ * (SchedLimits::forcePlanRepair + forcePerArrivalKick + forceResort
+ * + forceAccrue and SystemConfig::forceViewRebuild), i.e. the seed's
  * per-boundary recompute-everything cost model.
  *
  * Where bench_scheduler_iteration measures the intra-instance

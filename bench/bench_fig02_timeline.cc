@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hh"
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 
 namespace
 {
@@ -71,8 +71,7 @@ void
 run(const char* title, cluster::SystemConfig cfg,
     const workload::Trace& trace)
 {
-    cluster::ServingSystem system(cfg);
-    auto result = system.run(trace);
+    auto result = cluster::RunContext::execute(cfg, trace);
 
     std::printf("%s\n", title);
     const char* names = "ABC";

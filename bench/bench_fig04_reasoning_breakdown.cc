@@ -50,8 +50,7 @@ std::map<TokenCount, Row>
 runAndGroup(const cluster::SystemConfig& cfg,
             const workload::Trace& trace)
 {
-    cluster::ServingSystem system(cfg);
-    auto result = system.run(trace);
+    auto result = cluster::RunContext::execute(cfg, trace);
 
     std::map<TokenCount, Row> rows;
     for (const auto& m : result.perRequest) {
@@ -93,8 +92,7 @@ main()
     oracle_cfg.gpuKvCapacityTokens = cluster::SystemConfig::alignKvCapacity(
         oracle_capacity, oracle_cfg.kvBlockSizeTokens);
 
-    cluster::ServingSystem oracle_probe(oracle_cfg);
-    auto oracle_run = oracle_probe.run(trace);
+    auto oracle_run = cluster::RunContext::execute(oracle_cfg, trace);
     TokenCount constrained = cluster::SystemConfig::alignKvCapacity(
         oracle_run.peakGpuKvTokens / 2, oracle_cfg.kvBlockSizeTokens);
     std::printf("oracle peak KV usage: %lld tokens; constrained "

@@ -44,8 +44,8 @@ runDataset(const DatasetBench& bench)
         std::printf("%-8s %9s %9s %9s %9s %7s %7s %7s\n", "", "(s)",
                     "(s)", "(s)", "(s)", "<1k", "1k-3k", ">3k");
         for (const auto& policy : mainPolicies()) {
-            cluster::ServingSystem system(clusterConfig(policy));
-            auto result = system.run(trace);
+            auto result = cluster::RunContext::execute(
+                clusterConfig(policy), trace);
 
             std::vector<double> ttfts;
             stats::Summary band_short, band_mid, band_long;

@@ -33,8 +33,8 @@ tailsFor(const PolicyUnderTest& policy, const DatasetBench& bench)
     stats::BinnedTail binned(256.0);
     for (auto seed : kSeeds) {
         auto trace = makeTrace(bench, bench.highRate, seed);
-        cluster::ServingSystem system(clusterConfig(policy));
-        auto result = system.run(trace);
+        auto result = cluster::RunContext::execute(
+            clusterConfig(policy), trace);
         for (const auto& m : result.perRequest) {
             if (m.finished)
                 binned.add(static_cast<double>(m.reasoningTokens),

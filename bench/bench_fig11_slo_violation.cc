@@ -47,8 +47,8 @@ runDataset(const DatasetBench& bench)
             double violation = 0.0;
             for (auto seed : seeds) {
                 auto trace = makeTrace(bench, rate_case.rate, seed);
-                cluster::ServingSystem system(clusterConfig(policy));
-                auto result = system.run(trace);
+                auto result = cluster::RunContext::execute(
+                    clusterConfig(policy), trace);
                 violation += result.aggregate.sloViolationRate;
             }
             violation /= static_cast<double>(std::size(seeds));

@@ -51,8 +51,8 @@ runDataset(const DatasetBench& bench)
             double tput = 0.0;
             for (auto seed : seeds) {
                 auto trace = makeTrace(bench, rate_case.rate, seed);
-                cluster::ServingSystem system(clusterConfig(policy));
-                auto result = system.run(trace);
+                auto result = cluster::RunContext::execute(
+                    clusterConfig(policy), trace);
                 tput += result.aggregate.throughputTokensPerSec;
             }
             row.push_back(tput / static_cast<double>(std::size(seeds)));

@@ -51,8 +51,8 @@ runPooled(cluster::PlacementType placement, const DatasetBench& bench,
         auto trace = workload::generateTrace(bench.profile,
                                              bench.numRequests, rate,
                                              rng);
-        cluster::ServingSystem system(clusterConfig(policy));
-        auto result = system.run(trace);
+        auto result = cluster::RunContext::execute(
+            clusterConfig(policy), trace);
         for (const auto& m : result.perRequest) {
             if (!m.finished)
                 continue;

@@ -38,8 +38,8 @@ runOnce(cluster::PlacementType placement, const workload::Trace& trace)
 {
     PolicyUnderTest policy{"", cluster::SchedulerType::Pascal,
                            placement};
-    cluster::ServingSystem system(clusterConfig(policy));
-    auto result = system.run(trace);
+    auto result = cluster::RunContext::execute(
+        clusterConfig(policy), trace);
 
     Outcome o;
     o.meanTtft = result.aggregate.meanTtft;

@@ -55,8 +55,8 @@ main()
             Rng rng(seed);
             auto trace =
                 workload::generateMixedTrace(mix, 1200, 12.0, rng);
-            cluster::ServingSystem system(clusterConfig(policy));
-            auto result = system.run(trace);
+            auto result = cluster::RunContext::execute(
+                clusterConfig(policy), trace);
             for (const auto& m : result.perRequest) {
                 if (!m.finished)
                     continue;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Scheduler iteration-path benchmark: incremental fast path vs the
- * recompute-from-scratch path (PASCAL_FORCE_RESORT behaviour).
+ * recompute-from-scratch path (SchedLimits::forceResort behaviour).
  *
  * Drives a scheduler through a faithful miniature of the Instance
  * engine loop — plan (reuse, repair, or walk), apply

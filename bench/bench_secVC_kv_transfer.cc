@@ -24,8 +24,8 @@ runDataset(const DatasetBench& bench, double paper_p99)
     PolicyUnderTest pascal_policy{"PASCAL",
                                   cluster::SchedulerType::Pascal,
                                   cluster::PlacementType::Pascal};
-    cluster::ServingSystem system(clusterConfig(pascal_policy));
-    auto result = system.run(trace);
+    auto result = cluster::RunContext::execute(
+        clusterConfig(pascal_policy), trace);
 
     auto& transfers = result.kvTransferLatencies;
     std::printf("\n=== %s, high rate ===\n",

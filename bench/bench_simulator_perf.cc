@@ -2,10 +2,8 @@
  * @file
  * Event-engine performance benchmark with a machine-readable trail.
  *
- * Measures events/sec of the slotted d-ary EventQueue against an
- * embedded copy of the pre-refactor queue (std::priority_queue of
- * {time, id, std::function} entries plus an unordered_set tombstone
- * filter) on three workload shapes:
+ * Measures events/sec of the slotted d-ary EventQueue on three
+ * workload shapes:
  *
  *  - uniform-churn:  the original microbenchmark shape — bulk
  *    schedule at clustered timestamps, then drain. Trivial callbacks.
@@ -14,7 +12,7 @@
  *    rescheduling itself with a closure capturing real state.
  *  - cancel-heavy:   steady-state plus a watchdog per continuation
  *    that is cancelled and re-armed on every fire (the token-pacer /
- *    timeout pattern). Exercises true-cancellation vs tombstones.
+ *    timeout pattern). Exercises true cancellation.
  *
  * Also times one end-to-end cluster simulation for the perf
  * trajectory. Results are printed as a table and written as JSON
@@ -26,10 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/cluster/run_context.hh"
@@ -46,90 +41,6 @@ namespace
 
 using namespace pascal;
 
-/**
- * The pre-refactor event queue, kept verbatim as the baseline under
- * test: binary heap of fat entries, type-erasing std::function
- * callbacks, and tombstone-set cancellation.
- */
-class LegacyEventQueue
-{
-  public:
-    using Id = std::uint64_t;
-
-    Id
-    schedule(Time when, std::function<void()> callback)
-    {
-        Id id = nextId++;
-        heap.push(Entry{when, id, std::move(callback)});
-        return id;
-    }
-
-    void
-    cancel(Id id)
-    {
-        if (id < nextId)
-            cancelled.insert(id);
-    }
-
-    bool
-    empty() const
-    {
-        skipCancelled();
-        return heap.empty();
-    }
-
-    struct Fired
-    {
-        Time when;
-        std::function<void()> callback;
-    };
-
-    Fired
-    pop()
-    {
-        skipCancelled();
-        auto& top = const_cast<Entry&>(heap.top());
-        Fired fired{top.when, std::move(top.callback)};
-        heap.pop();
-        return fired;
-    }
-
-  private:
-    struct Entry
-    {
-        Time when;
-        Id id;
-        std::function<void()> callback;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Entry& a, const Entry& b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.id > b.id;
-        }
-    };
-
-    void
-    skipCancelled() const
-    {
-        while (!heap.empty()) {
-            auto it = cancelled.find(heap.top().id);
-            if (it == cancelled.end())
-                break;
-            cancelled.erase(it);
-            heap.pop();
-        }
-    }
-
-    mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap;
-    mutable std::unordered_set<Id> cancelled;
-    Id nextId = 0;
-};
-
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
@@ -139,13 +50,12 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 /** Original microbenchmark shape: bulk schedule, then drain. */
-template <typename Queue>
 std::uint64_t
 uniformChurn(std::uint64_t rounds)
 {
     std::uint64_t fired = 0;
     for (std::uint64_t r = 0; r < rounds; ++r) {
-        Queue q;
+        sim::EventQueue q;
         for (int i = 0; i < 1000; ++i)
             q.schedule(static_cast<Time>(i % 97), [] {});
         while (!q.empty()) {
@@ -157,10 +67,9 @@ uniformChurn(std::uint64_t rounds)
 }
 
 /** Shared state for the continuation workloads. */
-template <typename Queue>
 struct SimLoop
 {
-    Queue q;
+    sim::EventQueue q;
     Time clock = 0.0;
     std::uint64_t fired = 0;
     std::uint64_t budget = 0;
@@ -180,13 +89,12 @@ struct SimLoop
 
 /**
  * A serving-shaped continuation: captures its loop, a start
- * timestamp, and a sequence number (24 bytes — over std::function's
- * inline budget, inside EventCallback's).
+ * timestamp, and a sequence number (24 bytes — inside EventCallback's
+ * inline budget).
  */
-template <typename Queue>
 struct Continuation
 {
-    SimLoop<Queue>* loop;
+    SimLoop* loop;
     Time t0;
     std::uint64_t seq;
 
@@ -203,16 +111,15 @@ struct Continuation
 };
 
 /** Steady-state serving loop: @p width concurrent continuations. */
-template <typename Queue>
 std::uint64_t
 steadyState(int width, std::uint64_t budget)
 {
-    SimLoop<Queue> loop;
+    SimLoop loop;
     loop.budget = budget;
     for (int i = 0; i < width; ++i) {
         loop.q.schedule(loop.nextDelay(),
-                        Continuation<Queue>{&loop, 0.0,
-                                            static_cast<std::uint64_t>(i)});
+                        Continuation{&loop, 0.0,
+                                     static_cast<std::uint64_t>(i)});
     }
     while (!loop.q.empty() && loop.fired < budget) {
         auto ev = loop.q.pop();
@@ -224,19 +131,17 @@ steadyState(int width, std::uint64_t budget)
 }
 
 /** Steady-state plus a re-armed watchdog timeout per fire. */
-template <typename Queue>
 std::uint64_t
 cancelHeavy(int width, std::uint64_t budget)
 {
-    SimLoop<Queue> loop;
+    SimLoop loop;
     loop.budget = budget;
-    using WatchdogId = decltype(loop.q.schedule(0.0, std::function<void()>{}));
-    std::vector<WatchdogId> watchdogs;
+    std::vector<sim::EventId> watchdogs;
 
     for (int i = 0; i < width; ++i) {
         loop.q.schedule(loop.nextDelay(),
-                        Continuation<Queue>{&loop, 0.0,
-                                            static_cast<std::uint64_t>(i)});
+                        Continuation{&loop, 0.0,
+                                     static_cast<std::uint64_t>(i)});
         watchdogs.push_back(
             loop.q.schedule(1e6 + i, [] {})); // Never meant to fire.
     }
@@ -257,7 +162,6 @@ cancelHeavy(int width, std::uint64_t budget)
 struct Measurement
 {
     std::string workload;
-    std::string queue;
     std::uint64_t events;
     double seconds;
 
@@ -271,19 +175,18 @@ struct Measurement
 
 template <typename Fn>
 Measurement
-measure(const std::string& workload, const std::string& queue, Fn&& fn)
+measure(const std::string& workload, Fn&& fn)
 {
     // One warmup, then timed.
     fn();
     auto start = std::chrono::steady_clock::now();
     std::uint64_t events = fn();
     double elapsed = secondsSince(start);
-    std::printf("%-14s %-8s %12llu events  %8.3f s  %12.0f ev/s\n",
-                workload.c_str(), queue.c_str(),
-                static_cast<unsigned long long>(events), elapsed,
-                static_cast<double>(events) / elapsed);
+    std::printf("%-14s %12llu events  %8.3f s  %12.0f ev/s\n",
+                workload.c_str(), static_cast<unsigned long long>(events),
+                elapsed, static_cast<double>(events) / elapsed);
     std::fflush(stdout);
-    return {workload, queue, events, elapsed};
+    return {workload, events, elapsed};
 }
 
 } // namespace
@@ -299,25 +202,16 @@ try {
     constexpr int kWidth = 256; // Concurrent in-flight continuations.
     constexpr std::uint64_t kBudget = 2000000;
 
-    std::printf("== event-queue workloads (legacy vs slotted) ==\n");
+    std::printf("== event-queue workloads ==\n");
     std::vector<Measurement> results;
-    results.push_back(measure("uniform-churn", "legacy", [] {
-        return uniformChurn<LegacyEventQueue>(kChurnRounds);
+    results.push_back(measure("uniform-churn", [] {
+        return uniformChurn(kChurnRounds);
     }));
-    results.push_back(measure("uniform-churn", "slotted", [] {
-        return uniformChurn<sim::EventQueue>(kChurnRounds);
+    results.push_back(measure("steady-state", [] {
+        return steadyState(kWidth, kBudget);
     }));
-    results.push_back(measure("steady-state", "legacy", [] {
-        return steadyState<LegacyEventQueue>(kWidth, kBudget);
-    }));
-    results.push_back(measure("steady-state", "slotted", [] {
-        return steadyState<sim::EventQueue>(kWidth, kBudget);
-    }));
-    results.push_back(measure("cancel-heavy", "legacy", [] {
-        return cancelHeavy<LegacyEventQueue>(kWidth, kBudget);
-    }));
-    results.push_back(measure("cancel-heavy", "slotted", [] {
-        return cancelHeavy<sim::EventQueue>(kWidth, kBudget);
+    results.push_back(measure("cancel-heavy", [] {
+        return cancelHeavy(kWidth, kBudget);
     }));
 
     // End-to-end trajectory point: one full cluster simulation.
@@ -373,8 +267,7 @@ try {
                 sweep_result.size(), sweep_seconds,
                 sweep_points_per_sec, sweep_iters_per_sec);
 
-    // Speedup summary + JSON trail.
-    std::printf("\n== slotted-vs-legacy speedup ==\n");
+    // JSON trail.
     std::ofstream json(json_path);
     if (!json)
         fatal("cannot open '" + json_path + "' for writing");
@@ -384,23 +277,12 @@ try {
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto& m = results[i];
         json << "    {\"workload\": \"" << m.workload
-             << "\", \"queue\": \"" << m.queue << "\", \"events\": "
-             << m.events << ", \"seconds\": " << m.seconds
+             << "\", \"events\": " << m.events
+             << ", \"seconds\": " << m.seconds
              << ", \"events_per_sec\": " << m.eventsPerSec() << "}"
              << (i + 1 < results.size() ? "," : "") << "\n";
     }
-    json << "  ],\n  \"speedup\": {";
-    bool first = true;
-    for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
-        double speedup =
-            results[i + 1].eventsPerSec() / results[i].eventsPerSec();
-        std::printf("%-14s %5.2fx\n", results[i].workload.c_str(),
-                    speedup);
-        json << (first ? "" : ", ") << "\"" << results[i].workload
-             << "\": " << speedup;
-        first = false;
-    }
-    json << "},\n  \"end_to_end\": {\"requests\": "
+    json << "  ],\n  \"end_to_end\": {\"requests\": "
          << trace.size() << ", \"events\": " << e2e_events
          << ", \"seconds\": " << e2e_seconds
          << ", \"events_per_sec\": "

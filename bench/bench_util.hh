@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/rng.hh"
 #include "src/common/stats.hh"
 #include "src/obs/stat_registry.hh"
@@ -111,8 +111,7 @@ inline TokenCount
 constrainedCapacityFromOracle(const workload::Trace& trace,
                               const cluster::SystemConfig& oracle_cfg)
 {
-    cluster::ServingSystem oracle(oracle_cfg);
-    auto result = oracle.run(trace);
+    auto result = cluster::RunContext::execute(oracle_cfg, trace);
     return cluster::SystemConfig::alignKvCapacity(
         std::max<TokenCount>(1, result.peakGpuKvTokens / 2),
         oracle_cfg.kvBlockSizeTokens);

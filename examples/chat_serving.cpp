@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "examples/example_cli.hh"
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/rng.hh"
 #include "src/workload/generator.hh"
 
@@ -47,8 +47,8 @@ main(int argc, char** argv)
                 "throughput", "migrations");
 
     for (const auto& p : examples::allPolicies()) {
-        cluster::ServingSystem system(examples::configFor(p, 8));
-        auto result = system.run(trace);
+        auto result = cluster::RunContext::execute(
+            examples::configFor(p, 8), trace);
 
         std::printf("%-12s %9.2fs %9.2fs %9.2fs %8.2f%% %7.0f tok/s "
                     "%10d\n",

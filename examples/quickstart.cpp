@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/rng.hh"
 #include "src/workload/generator.hh"
 
@@ -31,8 +31,7 @@ main()
         /*rate_per_sec=*/6.0, rng);
 
     // 3. Run the simulation.
-    cluster::ServingSystem system(cfg);
-    cluster::RunResult result = system.run(trace);
+    cluster::RunResult result = cluster::RunContext::execute(cfg, trace);
 
     // 4. Report.
     const auto& agg = result.aggregate;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "examples/example_cli.hh"
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/rng.hh"
 #include "src/common/stats.hh"
 #include "src/workload/generator.hh"
@@ -58,8 +58,8 @@ main(int argc, char** argv)
     for (const auto& name :
          {"rr", "pascal", "pascal-spec", "srpt"}) {
         auto policy = examples::parsePolicies(name).front();
-        cluster::ServingSystem system(examples::configFor(policy, 8));
-        auto result = system.run(trace);
+        auto result = cluster::RunContext::execute(
+            examples::configFor(policy, 8), trace);
 
         // Split TTFT by reasoning length to show where the benefit
         // concentrates.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "src/common/log.hh"
@@ -41,8 +40,8 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
         if (predictor)
             predictor->observeCompletion(*r);
         if (classesOn) {
-            ++classCompletedCount[workload::sloClassIndex(
-                r->spec().sloClass)];
+            ++classOutcome[workload::sloClassIndex(r->spec().sloClass)]
+                  .completed;
         }
         noteRequestFinished(r);
     };
@@ -56,8 +55,6 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
 
     predictiveView = cfg.placement == PlacementType::PascalPredictive &&
                      predictor != nullptr;
-    forceViewRebuild = cfg.forceViewRebuild ||
-                       std::getenv("PASCAL_FORCE_VIEW") != nullptr;
 
     if (cfg.telemetry.traceEnabled) {
         trace =
@@ -153,14 +150,13 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
         std::string p = std::string("cluster.slo.") +
                         workload::sloClassName(
                             static_cast<workload::SloClass>(c));
-        registry.counter(p + ".submitted", &classSubmittedCount[c]);
-        registry.counter(p + ".completed", &classCompletedCount[c]);
-        registry.counter(p + ".shed", &classShedCount[c]);
-        registry.counter(p + ".deadline_failed",
-                         &classDeadlineFailedCount[c]);
-        registry.counter(p + ".retry_failed",
-                         &classRetryFailedCount[c]);
-        registry.counter(p + ".demoted", &classDemotedCount[c]);
+        ClassOutcome& row = classOutcome[c];
+        registry.counter(p + ".submitted", &row.submitted);
+        registry.counter(p + ".completed", &row.completed);
+        registry.counter(p + ".shed", &row.shed);
+        registry.counter(p + ".deadline_failed", &row.deadlineFailed);
+        registry.counter(p + ".retry_failed", &row.retryFailed);
+        registry.counter(p + ".demoted", &row.demoted);
     }
     for (InstanceId i = 0; i < cfg.numInstances; ++i) {
         instances[static_cast<std::size_t>(i)]->registerStats(
@@ -231,7 +227,7 @@ Cluster::buildView(Time now)
 {
     ++viewBuilds;
     bool refreshed = false;
-    if (forceViewRebuild || !viewPrimed ||
+    if (cfg.forceViewRebuild || !viewPrimed ||
         (predictiveView &&
          predictor->version() != viewPredictorVersion)) {
         // Full rebuild: debug mode, first decision, or the shared
@@ -324,8 +320,8 @@ Cluster::onArrivals(workload::Request* first, std::uint32_t n)
             // may carry class annotations, but with classes off every
             // rank stays at its zero default and the schedulers'
             // class-rank comparator levels are inert.
-            ++classSubmittedCount[workload::sloClassIndex(
-                req->spec().sloClass)];
+            ++classOutcome[workload::sloClassIndex(req->spec().sloClass)]
+                  .submitted;
             req->schedClassRank =
                 static_cast<std::uint8_t>(req->spec().sloClass);
             if (classAdmissionShed(req))
@@ -381,12 +377,12 @@ Cluster::retireChunk(std::size_t idx)
         // Streaming mode: fold each scored row into the sketches and
         // store nothing — this is what bounds soak-run memory.
         for (auto& req : chunk)
-            streaming->fold(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
+            streaming->fold(scoreRequest(req));
     } else {
         std::vector<qoe::RequestMetrics>& out = retiredMetrics[idx];
         out.reserve(chunk.size());
         for (auto& req : chunk)
-            out.push_back(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
+            out.push_back(scoreRequest(req));
     }
     chunkRetired[idx] = 1;
     requests.recycleChunk(idx);
@@ -420,73 +416,13 @@ Cluster::onPhaseTransition(workload::Request* req, InstanceId from)
 void
 Cluster::migrate(workload::Request* req, InstanceId from, InstanceId to)
 {
-    Time start = sim.now();
     instances[from]->detach(req);
     // Entering the answering phase restarts quantum accounting
     // regardless of which instance it lands on.
     req->resetQuantum();
     ++migrations;
-
-    if (trace != nullptr) {
-        // Async span on the target's track: begin at detach, end when
-        // the KV lands over the fabric ingress link.
-        trace->asyncBegin(obs::TraceCat::Migration,
-                          obs::TraceName::KvTransfer, to, start,
-                          static_cast<std::uint64_t>(req->id()),
-                          obs::TraceArg::Tokens,
-                          static_cast<std::int64_t>(req->kvTokens()));
-    }
-    Bytes bytes = perf.kvBytes(req->kvTokens());
-    std::uint64_t nonce =
-        injector != nullptr ? ++req->transferNonce : 0;
-    ingress[to]->submit(bytes, [this, req, to, start, nonce]() {
-        if (injector != nullptr) {
-            // The transfer can abort in flight: a seeded link failure
-            // (stateless per-attempt draw) or the destination crashing
-            // while the KV was on the wire. Either way the request is
-            // re-queued through the backoff retry path.
-            bool link_fail = injector->drawLinkFailure(req->id(), nonce);
-            if (link_fail || !instances[to]->isUp()) {
-                if (link_fail) {
-                    ++linkFailuresCount;
-                    if (trace != nullptr) {
-                        trace->instant(
-                            obs::TraceCat::Fault,
-                            obs::TraceName::LinkFail, to, sim.now(),
-                            obs::TraceArg::Request,
-                            static_cast<std::int64_t>(req->id()));
-                    }
-                }
-                if (trace != nullptr) {
-                    trace->asyncEnd(
-                        obs::TraceCat::Migration,
-                        obs::TraceName::KvTransfer, to, sim.now(),
-                        static_cast<std::uint64_t>(req->id()));
-                }
-                requeueRequest(req);
-                return;
-            }
-        }
-        if (req->deadlineExpired && interceptExpired(req)) {
-            // Expired while the KV was on the wire: the transfer
-            // completes (span closed) but the request never lands.
-            if (trace != nullptr) {
-                trace->asyncEnd(obs::TraceCat::Migration,
-                                obs::TraceName::KvTransfer, to,
-                                sim.now(),
-                                static_cast<std::uint64_t>(req->id()));
-            }
-            return;
-        }
-        req->kvTransferLatencies.push_back(sim.now() - start);
-        ++req->migrationCount;
-        if (trace != nullptr) {
-            trace->asyncEnd(obs::TraceCat::Migration,
-                            obs::TraceName::KvTransfer, to, sim.now(),
-                            static_cast<std::uint64_t>(req->id()));
-        }
-        instances[to]->landMigration(req);
-    });
+    transferKv(req, to, injector != nullptr ? ++req->transferNonce : 0,
+               true);
 
     // The source may have capacity freed up; let it reschedule.
     instances[from]->kick();
@@ -617,8 +553,8 @@ Cluster::enforceExpiry(workload::Request* req)
     if (cfg.sloClasses.of(req->spec().sloClass).demoteOnExpiry) {
         if (req->bestEffort)
             return; // Already demoted (double-fire safe).
-        ++classDemotedCount[workload::sloClassIndex(
-            req->spec().sloClass)];
+        ++classOutcome[workload::sloClassIndex(req->spec().sloClass)]
+              .demoted;
         if (trace != nullptr) {
             trace->instant(obs::TraceCat::Slo, obs::TraceName::Demoted,
                            obs::TraceSink::kClusterTrack, sim.now(),
@@ -800,19 +736,22 @@ Cluster::retryPlace(workload::Request* req)
         instances[static_cast<std::size_t>(target)]->addRequest(req);
         return;
     }
-    restoreKv(req, target);
-}
-
-void
-Cluster::restoreKv(workload::Request* req, InstanceId to)
-{
     // Failover restore: the request's KV is re-materialized over the
     // target's fabric ingress link, as if fetched from a host-side
     // replica — the same transfer model as a migration, including the
     // possibility of a link failure or the target crashing mid-
     // transfer.
+    transferKv(req, target, ++req->transferNonce, false);
+}
+
+void
+Cluster::transferKv(workload::Request* req, InstanceId to,
+                    std::uint64_t nonce, bool migration)
+{
     Time start = sim.now();
     if (trace != nullptr) {
+        // Async span on the target's track: begin now, end when the KV
+        // lands over the fabric ingress link.
         trace->asyncBegin(obs::TraceCat::Migration,
                           obs::TraceName::KvTransfer, to, start,
                           static_cast<std::uint64_t>(req->id()),
@@ -820,49 +759,55 @@ Cluster::restoreKv(workload::Request* req, InstanceId to)
                           static_cast<std::int64_t>(req->kvTokens()));
     }
     Bytes bytes = perf.kvBytes(req->kvTokens());
-    std::uint64_t nonce = ++req->transferNonce;
     ingress[static_cast<std::size_t>(to)]->submit(
-        bytes, [this, req, to, start, nonce]() {
-            bool link_fail =
-                injector->drawLinkFailure(req->id(), nonce);
-            if (link_fail || !instances[to]->isUp()) {
-                if (link_fail) {
-                    ++linkFailuresCount;
-                    if (trace != nullptr) {
-                        trace->instant(
-                            obs::TraceCat::Fault,
-                            obs::TraceName::LinkFail, to, sim.now(),
-                            obs::TraceArg::Request,
-                            static_cast<std::int64_t>(req->id()));
-                    }
-                }
-                if (trace != nullptr) {
-                    trace->asyncEnd(
-                        obs::TraceCat::Migration,
-                        obs::TraceName::KvTransfer, to, sim.now(),
-                        static_cast<std::uint64_t>(req->id()));
-                }
-                requeueRequest(req);
-                return;
-            }
-            if (req->deadlineExpired && interceptExpired(req)) {
-                if (trace != nullptr) {
-                    trace->asyncEnd(
-                        obs::TraceCat::Migration,
-                        obs::TraceName::KvTransfer, to, sim.now(),
-                        static_cast<std::uint64_t>(req->id()));
-                }
-                return;
-            }
-            req->kvTransferLatencies.push_back(sim.now() - start);
-            if (trace != nullptr) {
-                trace->asyncEnd(obs::TraceCat::Migration,
-                                obs::TraceName::KvTransfer, to,
-                                sim.now(),
-                                static_cast<std::uint64_t>(req->id()));
-            }
-            instances[static_cast<std::size_t>(to)]->landMigration(req);
+        bytes, [this, req, to, start, nonce, migration]() {
+            landKv(req, to, start, nonce, migration);
         });
+}
+
+void
+Cluster::landKv(workload::Request* req, InstanceId to, Time start,
+                std::uint64_t nonce, bool migration)
+{
+    auto end_span = [&] {
+        if (trace != nullptr) {
+            trace->asyncEnd(obs::TraceCat::Migration,
+                            obs::TraceName::KvTransfer, to, sim.now(),
+                            static_cast<std::uint64_t>(req->id()));
+        }
+    };
+    if (injector != nullptr) {
+        // The transfer can abort in flight: a seeded link failure
+        // (stateless per-attempt draw) or the destination crashing
+        // while the KV was on the wire. Either way the request is
+        // re-queued through the backoff retry path.
+        bool link_fail = injector->drawLinkFailure(req->id(), nonce);
+        if (link_fail || !instances[to]->isUp()) {
+            if (link_fail) {
+                ++linkFailuresCount;
+                if (trace != nullptr) {
+                    trace->instant(obs::TraceCat::Fault,
+                                   obs::TraceName::LinkFail, to,
+                                   sim.now(), obs::TraceArg::Request,
+                                   static_cast<std::int64_t>(req->id()));
+                }
+            }
+            end_span();
+            requeueRequest(req);
+            return;
+        }
+    }
+    if (req->deadlineExpired && interceptExpired(req)) {
+        // Expired while the KV was on the wire: the transfer completes
+        // (span closed) but the request never lands.
+        end_span();
+        return;
+    }
+    req->kvTransferLatencies.push_back(sim.now() - start);
+    if (migration)
+        ++req->migrationCount;
+    end_span();
+    instances[static_cast<std::size_t>(to)]->landMigration(req);
 }
 
 void
@@ -878,16 +823,17 @@ Cluster::failTerminally(workload::Request* req,
     req->exec = ExecState::Done;
     ++terminalFailuresCount;
     if (classesOn) {
-        auto ci = workload::sloClassIndex(req->spec().sloClass);
+        ClassOutcome& row =
+            classOutcome[workload::sloClassIndex(req->spec().sloClass)];
         switch (reason) {
           case workload::FailReason::Shed:
-            ++classShedCount[ci];
+            ++row.shed;
             break;
           case workload::FailReason::DeadlineExceeded:
-            ++classDeadlineFailedCount[ci];
+            ++row.deadlineFailed;
             break;
           default:
-            ++classRetryFailedCount[ci];
+            ++row.retryFailed;
             break;
         }
     }
@@ -910,7 +856,6 @@ Cluster::collectMetrics() const
 {
     std::vector<qoe::RequestMetrics> out;
     out.reserve(requests.size());
-    Time now = sim.now();
     for (std::size_t c = 0; c < requests.numChunks(); ++c) {
         const std::vector<qoe::RequestMetrics>& retired =
             retiredMetrics[c];
@@ -920,20 +865,24 @@ Cluster::collectMetrics() const
             out.insert(out.end(), retired.begin(), retired.end());
             continue;
         }
-        for (auto& req : requests.chunk(c)) {
-            // Observation point: settle lazily accrued phase time for
-            // requests still in flight (finished requests settled at
-            // their final emission; unarrived ones have nothing
-            // accrued).
-            if (!req.finished() &&
-                req.exec != workload::ExecState::Unassigned &&
-                req.exec != workload::ExecState::Done) {
-                req.settleAccrual(now);
-            }
-            out.push_back(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
-        }
+        for (auto& req : requests.chunk(c))
+            out.push_back(scoreRequest(req));
     }
     return out;
+}
+
+qoe::RequestMetrics
+Cluster::scoreRequest(workload::Request& req) const
+{
+    // Observation point: settle lazily accrued phase time for requests
+    // still in flight (finished requests settled at their final
+    // emission; unarrived and terminally failed ones have nothing
+    // left to accrue).
+    if (!req.finished() && req.exec != workload::ExecState::Unassigned &&
+        req.exec != workload::ExecState::Done) {
+        req.settleAccrual(sim.now());
+    }
+    return qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses);
 }
 
 std::size_t
@@ -1008,21 +957,14 @@ Cluster::finalStreamingMetrics() const
         return nullptr;
     // Copy the running sketch, then fold every chunk that has not
     // retired — its rows were never folded. Same settle-then-score
-    // walk as collectMetrics, so both modes cover the identical
+    // step as collectMetrics, so both modes cover the identical
     // population.
     auto snap = std::make_shared<obs::StreamingMetrics>(*streaming);
-    Time now = sim.now();
     for (std::size_t c = 0; c < requests.numChunks(); ++c) {
         if (chunkRetired[c] != 0)
             continue;
-        for (auto& req : requests.chunk(c)) {
-            if (!req.finished() &&
-                req.exec != workload::ExecState::Unassigned &&
-                req.exec != workload::ExecState::Done) {
-                req.settleAccrual(now);
-            }
-            snap->fold(qoe::computeRequestMetrics(req, cfg.slo, &cfg.sloClasses));
-        }
+        for (auto& req : requests.chunk(c))
+            snap->fold(scoreRequest(req));
     }
     return snap;
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/cluster/instance.hh"
+#include "src/cluster/run_result.hh"
 #include "src/cluster/system_config.hh"
 #include "src/core/placement.hh"
 #include "src/fault/fault_injector.hh"
@@ -158,35 +159,14 @@ class Cluster
 
     /** @} */
 
-    /** @name SLO-class accounting (all-zero when cfg.sloClasses is
-     *  disabled; per-class goodput invariant: submitted == completed
-     *  + shed + deadline_failed + retry_failed + still-live). */
-    /** @{ */
-    std::uint64_t numClassSubmitted(workload::SloClass c) const
+    /** SLO-class accounting, one row per class in sloClassIndex
+     *  order (all-zero when cfg.sloClasses is disabled; goodputFraction
+     *  is left at its default — RunContext::result() fills it in). */
+    const std::array<ClassOutcome, workload::kNumSloClasses>&
+    classOutcomes() const
     {
-        return classSubmittedCount[workload::sloClassIndex(c)];
+        return classOutcome;
     }
-    std::uint64_t numClassCompleted(workload::SloClass c) const
-    {
-        return classCompletedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassShed(workload::SloClass c) const
-    {
-        return classShedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassDeadlineFailed(workload::SloClass c) const
-    {
-        return classDeadlineFailedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassRetryFailed(workload::SloClass c) const
-    {
-        return classRetryFailedCount[workload::sloClassIndex(c)];
-    }
-    std::uint64_t numClassDemoted(workload::SloClass c) const
-    {
-        return classDemotedCount[workload::sloClassIndex(c)];
-    }
-    /** @} */
 
     /** The shared length predictor (nullptr when cfg.predictor is
      *  None). Exposed so harnesses can inspect what a run learned. */
@@ -276,6 +256,10 @@ class Cluster
     /** Score and recycle a fully-finished trace chunk. */
     void retireChunk(std::size_t idx);
 
+    /** Score one request against the configured SLO, first settling
+     *  the lazily accrued phase time of a request still in flight. */
+    qoe::RequestMetrics scoreRequest(workload::Request& req) const;
+
     /** Handle a reasoning->answering transition (Algorithm 2 +
      *  adaptive override). */
     void onPhaseTransition(workload::Request* req, InstanceId from);
@@ -283,6 +267,19 @@ class Cluster
     /** Start a KV migration over the target's fabric ingress link. */
     void migrate(workload::Request* req, InstanceId from,
                  InstanceId to);
+
+    /** Ship @p req's KV to @p to over its fabric ingress link (a
+     *  migration, or a failover restore when !@p migration); @p nonce
+     *  keys the transfer's link-failure draw. */
+    void transferKv(workload::Request* req, InstanceId to,
+                    std::uint64_t nonce, bool migration);
+
+    /** A KV transfer onto @p to, started at @p start, finished: abort
+     *  it on a link failure or a downed target, enforce an expiry that
+     *  fired on the wire, else land the request. Only a migration
+     *  bumps migrationCount. */
+    void landKv(workload::Request* req, InstanceId to, Time start,
+                std::uint64_t nonce, bool migration);
 
     /** @name Failover internals (fault layer) */
     /** @{ */
@@ -301,9 +298,6 @@ class Cluster
      *  link (as if restored from a replica) instead of recomputing
      *  the prefill. */
     void retryPlace(workload::Request* req);
-
-    /** Restore a prefill-complete request's KV onto @p to. */
-    void restoreKv(workload::Request* req, InstanceId to);
 
     /** Account a terminal failure and release the request. */
     void failTerminally(workload::Request* req,
@@ -351,9 +345,9 @@ class Cluster
      * decision (plus any instance whose cached answeringSloOk could
      * have flipped purely by time passing — see sloRiskAt), making
      * arrivals and phase transitions O(dirty) instead of
-     * O(instances x hosted). SystemConfig::forceViewRebuild or the
-     * PASCAL_FORCE_VIEW env var restores the full per-decision
-     * rebuild (the reference the equivalence tests compare against).
+     * O(instances x hosted). SystemConfig::forceViewRebuild restores
+     * the full per-decision rebuild (the reference the equivalence
+     * tests compare against).
      */
     const core::ClusterView& buildView(Time now);
 
@@ -405,7 +399,6 @@ class Cluster
     Time minSloRiskAt = kTimeInfinity;  //!< min over cached-ok rows.
     std::uint64_t viewPredictorVersion = 0;
     bool viewPrimed = false;
-    bool forceViewRebuild = false;
     bool predictiveView = false; //!< Snapshots carry predictions.
     bool viewAudit = false;
     std::uint64_t viewRefreshes = 0;
@@ -446,18 +439,9 @@ class Cluster
      *  exact pre-class code. */
     bool classesOn = false;
 
-    std::array<std::uint64_t, workload::kNumSloClasses>
-        classSubmittedCount{};
-    std::array<std::uint64_t, workload::kNumSloClasses>
-        classCompletedCount{};
-    std::array<std::uint64_t, workload::kNumSloClasses>
-        classShedCount{};
-    std::array<std::uint64_t, workload::kNumSloClasses>
-        classDeadlineFailedCount{};
-    std::array<std::uint64_t, workload::kNumSloClasses>
-        classRetryFailedCount{};
-    std::array<std::uint64_t, workload::kNumSloClasses>
-        classDemotedCount{};
+    /** The per-class ledger (the registry's cluster.slo.<class>.*
+     *  counters point into it). */
+    std::array<ClassOutcome, workload::kNumSloClasses> classOutcome{};
     /** @} */
 };
 

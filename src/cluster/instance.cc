@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "src/common/log.hh"
@@ -56,18 +55,15 @@ Instance::Instance(InstanceId id, sim::Simulator& sim,
     this->sched->setInstanceId(id);
     // Incremental queue maintenance + the steady-state plan-reuse
     // fast path. enableIncremental() itself backs off when the
-    // force-resort debug mode (SchedLimits::forceResort or the
-    // PASCAL_FORCE_RESORT env var) asks for recompute-from-scratch.
+    // force-resort debug mode (SchedLimits::forceResort) asks for
+    // recompute-from-scratch.
     this->sched->enableIncremental();
     // Accrual debug mode: keep the eager O(hosted) walk as a
-    // per-iteration stamp verification (construction-time read, like
-    // enableIncremental's).
-    verifyAccrual = this->sched->schedLimits().forceAccrue ||
-                    std::getenv("PASCAL_FORCE_ACCRUE") != nullptr;
+    // per-iteration stamp verification.
+    verifyAccrual = this->sched->schedLimits().forceAccrue;
     // Per-arrival plan boundaries: verification mode for burst
-    // coalescing (construction-time read, like the two above).
-    forceKick = this->sched->schedLimits().forcePerArrivalKick ||
-                std::getenv("PASCAL_FORCE_KICK") != nullptr;
+    // coalescing.
+    forceKick = this->sched->schedLimits().forcePerArrivalKick;
 }
 
 void
@@ -114,7 +110,7 @@ Instance::addRequestCoalesced(Request* req)
     // Defer the plan boundary through the event queue: same-timestamp
     // events fire FIFO, so every member of the arrival burst is
     // admitted (and placed) before the single coalesced plan build
-    // runs. In PASCAL_FORCE_KICK mode the dedup is skipped and every
+    // runs. In forcePerArrivalKick mode the dedup is skipped and every
     // member schedules its own (redundant) boundary — the per-arrival
     // cost model the byte-identity tests verify against.
     if (stepInFlight)

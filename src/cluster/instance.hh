@@ -97,7 +97,7 @@ class Instance
      * remaining members are still being placed: admits now, and
      * defers the plan boundary to a same-timestamp event so every
      * burst member (on this instance) shares ONE plan build. The
-     * kickPending flag dedupes the boundary; PASCAL_FORCE_KICK /
+     * kickPending flag dedupes the boundary;
      * SchedLimits::forcePerArrivalKick skips the dedup so every
      * member schedules its own boundary (byte-identical results: a
      * redundant boundary either finds a step in flight or rebuilds
@@ -332,7 +332,7 @@ class Instance
     }
 
     /**
-     * PASCAL_FORCE_ACCRUE debug walk: recompute every hosted
+     * SchedLimits::forceAccrue debug walk: recompute every hosted
      * request's standing accrual bucket the way the old eager
      * accrueAll derived it and panic if the lazily maintained stamp
      * disagrees. Settlement itself stays lazy in both modes (shared
@@ -366,11 +366,11 @@ class Instance
     std::uint8_t* dirtyFlag = nullptr;
     std::vector<InstanceId>* dirtyList = nullptr;
 
-    /** PASCAL_FORCE_ACCRUE / SchedLimits::forceAccrue: run the eager
+    /** SchedLimits::forceAccrue: run the eager
      *  stamp-verification walk every iteration. */
     bool verifyAccrual = false;
 
-    /** PASCAL_FORCE_KICK / SchedLimits::forcePerArrivalKick: schedule
+    /** SchedLimits::forcePerArrivalKick: schedule
      *  a plan-boundary event per kick() instead of deduplicating. */
     bool forceKick = false;
 

@@ -64,15 +64,8 @@ RunContext::result() const
     result.numRetries = clusterPtr->numRetries();
     result.numShed = clusterPtr->numShed();
     result.numTerminalFailures = clusterPtr->numTerminalFailures();
-    for (std::size_t c = 0; c < workload::kNumSloClasses; ++c) {
-        auto cls = static_cast<workload::SloClass>(c);
-        RunResult::ClassOutcome& out = result.perClass[c];
-        out.submitted = clusterPtr->numClassSubmitted(cls);
-        out.completed = clusterPtr->numClassCompleted(cls);
-        out.shed = clusterPtr->numClassShed(cls);
-        out.deadlineFailed = clusterPtr->numClassDeadlineFailed(cls);
-        out.retryFailed = clusterPtr->numClassRetryFailed(cls);
-        out.demoted = clusterPtr->numClassDemoted(cls);
+    result.perClass = clusterPtr->classOutcomes();
+    for (ClassOutcome& out : result.perClass) {
         out.goodputFraction =
             out.submitted == 0
                 ? 1.0

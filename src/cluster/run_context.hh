@@ -4,11 +4,13 @@
  *
  * A RunContext owns a fresh Simulator and Cluster built from one
  * SystemConfig, and knows how to score the finished simulation into a
- * RunResult. ServingSystem::run() is a thin convenience over it;
- * harnesses that need more control (stepping the clock, inspecting
- * instances mid-run, attaching extra probes before the run starts)
- * construct a RunContext directly. SweepRunner builds one per grid
- * point, so runs stay independent and bit-reproducible.
+ * RunResult. It is the library's one entry point: execute() is the
+ * one-shot run; harnesses that need more control (stepping the clock,
+ * inspecting instances mid-run, attaching extra probes before the run
+ * starts) construct a RunContext directly. SweepRunner builds one per
+ * grid point, so runs stay independent and bit-reproducible.
+ *
+ *   RunResult r = RunContext::execute(SystemConfig::pascal(8), trace);
  */
 
 #ifndef PASCAL_CLUSTER_RUN_CONTEXT_HH
@@ -17,7 +19,7 @@
 #include <memory>
 
 #include "src/cluster/cluster.hh"
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_result.hh"
 #include "src/cluster/system_config.hh"
 #include "src/sim/simulator.hh"
 #include "src/workload/trace.hh"
@@ -47,10 +49,10 @@ class RunContext
      */
     std::uint64_t run(Time until = -1.0);
 
-    /** Score the simulation into the facade's result type. Warns (as
-     *  ServingSystem always did) if the horizon cut the run short —
-     *  but not for mid-run inspection of a stepped run, where pending
-     *  events and unfinished requests are expected. */
+    /** Score the simulation into a RunResult. Warns if the horizon
+     *  cut the run short — but not for mid-run inspection of a
+     *  stepped run, where pending events and unfinished requests are
+     *  expected. */
     RunResult result() const;
 
     /** One-shot convenience: submit, run, score. */

@@ -1,15 +1,11 @@
 /**
  * @file
- * ServingSystem: the library's top-level facade.
- *
- * Construct it from a SystemConfig, hand it a Trace, and it runs the
- * whole discrete-event simulation and returns scored metrics. Each
- * run() builds a fresh simulator and cluster, so one ServingSystem can
- * evaluate many traces (and runs are independent and reproducible).
+ * RunResult: everything one simulated serving run reports, as scored
+ * by RunContext::result().
  */
 
-#ifndef PASCAL_CLUSTER_SERVING_SYSTEM_HH
-#define PASCAL_CLUSTER_SERVING_SYSTEM_HH
+#ifndef PASCAL_CLUSTER_RUN_RESULT_HH
+#define PASCAL_CLUSTER_RUN_RESULT_HH
 
 #include <array>
 #include <cstdint>
@@ -17,16 +13,37 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/system_config.hh"
+#include "src/common/types.hh"
 #include "src/obs/stat_registry.hh"
 #include "src/obs/streaming_metrics.hh"
 #include "src/qoe/metrics.hh"
-#include "src/workload/trace.hh"
+#include "src/workload/slo_class.hh"
 
 namespace pascal
 {
 namespace cluster
 {
+
+/** Lifecycle counts for one service class. The Cluster keeps one row
+ *  per class as its only per-class ledger (exported as
+ *  cluster.slo.<class>.*); RunResult::perClass is a copy of it.
+ *  Totality invariant (checked by bench_chaos_goodput
+ *  --check-invariants): submitted == completed + shed +
+ *  deadlineFailed + retryFailed + still-live-at-horizon. demoted
+ *  tracks demote-on-expiry transitions and overlaps the other outcome
+ *  buckets. */
+struct ClassOutcome
+{
+    std::uint64_t submitted = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t shed = 0;
+    std::uint64_t deadlineFailed = 0;
+    std::uint64_t retryFailed = 0;
+    std::uint64_t demoted = 0;
+    /** completed / submitted; 1.0 when the class saw no work. Filled
+     *  in by RunContext::result(). */
+    double goodputFraction = 1.0;
+};
 
 /** Everything a harness needs from one simulated run. */
 struct RunResult
@@ -77,26 +94,9 @@ struct RunResult
     double goodputFraction = 1.0;
     /** @} */
 
-    /** @name SLO-class outcomes (tentpole; all rows zero — and
-     *  per-class goodput 1.0 — when cfg.sloClasses is disabled) */
+    /** @name SLO-class outcomes (all rows zero — and per-class
+     *  goodput 1.0 — when cfg.sloClasses is disabled) */
     /** @{ */
-
-    /** Lifecycle counts for one service class. Totality invariant
-     *  (checked by bench_chaos_goodput --check-invariants):
-     *  submitted == completed + shed + deadlineFailed + retryFailed
-     *  + still-live-at-horizon. demoted tracks demote-on-expiry
-     *  transitions and overlaps the other outcome buckets. */
-    struct ClassOutcome
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t deadlineFailed = 0;
-        std::uint64_t retryFailed = 0;
-        std::uint64_t demoted = 0;
-        /** completed / submitted; 1.0 when the class saw no work. */
-        double goodputFraction = 1.0;
-    };
     std::array<ClassOutcome, workload::kNumSloClasses> perClass{};
 
     /** Per-class latency/QoE rollups over perRequest (left
@@ -133,23 +133,7 @@ struct RunResult
     /** @} */
 };
 
-/** Facade running complete serving simulations. */
-class ServingSystem
-{
-  public:
-    /** @param cfg Validated deployment configuration (copied). */
-    explicit ServingSystem(SystemConfig cfg);
-
-    /** Simulate @p trace to completion and score it. */
-    RunResult run(const workload::Trace& trace) const;
-
-    const SystemConfig& config() const { return cfg; }
-
-  private:
-    SystemConfig cfg;
-};
-
 } // namespace cluster
 } // namespace pascal
 
-#endif // PASCAL_CLUSTER_SERVING_SYSTEM_HH
+#endif // PASCAL_CLUSTER_RUN_RESULT_HH

@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_result.hh"
 #include "src/cluster/system_config.hh"
 #include "src/workload/datasets.hh"
 #include "src/workload/trace.hh"

@@ -47,7 +47,7 @@ enum class PlacementType
                        //!< predictor).
 };
 
-/** Everything needed to build a ServingSystem. */
+/** Everything needed to build a RunContext. */
 struct SystemConfig
 {
     model::ModelConfig model = model::ModelConfig::deepseekR1Distill32B();
@@ -101,8 +101,7 @@ struct SystemConfig
     /**
      * Debug mode mirroring SchedLimits::forceResort for the cluster
      * path: rebuild every instance snapshot from scratch at every
-     * placement decision instead of refreshing only dirty ones. The
-     * PASCAL_FORCE_VIEW environment variable forces it globally.
+     * placement decision instead of refreshing only dirty ones.
      * Results must be byte-identical either way — the cluster-view
      * invariance tests run both modes and compare RunResults field by
      * field.

@@ -1,7 +1,6 @@
 #include "src/core/intra_scheduler.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <string>
 
@@ -77,12 +76,8 @@ IntraScheduler::IntraScheduler(SchedLimits limits) : limits(limits)
 void
 IntraScheduler::enableIncremental()
 {
-    // Read per call (construction-time only, not the hot path) so an
-    // embedder toggling the variable between runs is honored.
-    if (std::getenv("PASCAL_FORCE_RESORT") != nullptr ||
-        limits.forceResort) {
+    if (limits.forceResort)
         return;
-    }
     if (!requests.empty())
         panic("enableIncremental: must be called before requests are "
               "added");
@@ -91,8 +86,7 @@ IntraScheduler::enableIncremental()
     lastPlanReusable = false;
     // The plan-repair force twin backs off only the repair leg;
     // queues, counters, and plan reuse stay incremental.
-    repairDisabled = std::getenv("PASCAL_FORCE_REPAIR") != nullptr ||
-                     limits.forcePlanRepair;
+    repairDisabled = limits.forcePlanRepair;
     lineage = false;
 }
 

@@ -12,10 +12,10 @@
  * The per-iteration scheduling path is the simulator's hottest loop,
  * so the base class supports two modes:
  *
- *  - Recompute mode (default; also PASCAL_FORCE_RESORT /
- *    SchedLimits::forceResort): every buildPlan() call rebuilds and
- *    re-sorts the priority order from scratch. Simple, and the
- *    reference behaviour the invariance tests compare against.
+ *  - Recompute mode (default; also SchedLimits::forceResort):
+ *    every buildPlan() call rebuilds and re-sorts the priority order
+ *    from scratch. Simple, and the reference behaviour the invariance
+ *    tests compare against.
  *
  *  - Incremental mode (enabled by the owning Instance via
  *    enableIncremental()): the scheduler maintains its priority
@@ -240,9 +240,8 @@ class IntraScheduler
      *    allocation once warm. Eligible only with no waiting
      *    admission candidates, no swapped members and no predictor
      *    movement, so the patched batch provably equals the walk's.
-     *    Disabled by SchedLimits::forcePlanRepair /
-     *    PASCAL_FORCE_REPAIR (the force twin keeps the journal dark;
-     *    verbatim reuse still runs).
+     *    Disabled by SchedLimits::forcePlanRepair (the force twin
+     *    keeps the journal dark; verbatim reuse still runs).
      *  - Walk: neither applies; the caller must run buildPlan().
      */
     PlanRung patchPlan(IterationPlan& prev, const model::KvPool& pool);
@@ -282,8 +281,8 @@ class IntraScheduler
 
     /**
      * Switch on incremental maintenance. Must be called before any
-     * request is added. Ignored when SchedLimits::forceResort is set
-     * or the PASCAL_FORCE_RESORT environment variable is present.
+     * request is added. Ignored when SchedLimits::forceResort is
+     * set.
      */
     void enableIncremental();
 
@@ -852,7 +851,7 @@ class IntraScheduler
      *  reuses, repairs and prefill-only excursions. */
     bool lineage = false;
 
-    /** forcePlanRepair / PASCAL_FORCE_REPAIR: the repair rung is
+    /** SchedLimits::forcePlanRepair: the repair rung is
      *  disabled and the journal stays dark; verbatim reuse still
      *  runs. */
     bool repairDisabled = false;

@@ -125,8 +125,7 @@ struct SchedLimits
     /**
      * Debug mode: disable the incremental scheduling fast path and
      * recompute every queue from scratch at every iteration (the
-     * pre-optimization behaviour). The PASCAL_FORCE_RESORT environment
-     * variable forces this globally. Results must be byte-identical
+     * pre-optimization behaviour). Results must be byte-identical
      * either way — the plan-reuse invariance tests run the same traces
      * in both modes and compare RunResults field by field.
      */
@@ -140,8 +139,7 @@ struct SchedLimits
      * disagrees. Settlement arithmetic is shared between the modes,
      * so RunResults are byte-identical whenever the stamps are
      * right — the accrual invariance tests run the full scheduler x
-     * predictor grid this way. The PASCAL_FORCE_ACCRUE environment
-     * variable forces it globally.
+     * predictor grid this way.
      */
     bool forceAccrue = false;
 
@@ -153,8 +151,7 @@ struct SchedLimits
      * arrival-burst member. Results must be byte-identical either
      * way (the redundant boundaries are provably no-ops); the burst
      * coalescing invariance tests run both modes and compare
-     * RunResults field by field. The PASCAL_FORCE_KICK environment
-     * variable forces it globally.
+     * RunResults field by field.
      */
     bool forcePerArrivalKick = false;
 
@@ -163,8 +160,7 @@ struct SchedLimits
      * when a plan is dirtied by a bounded delta (departures,
      * demotions, phase transitions, landings), the fast path patches
      * the previous decode batch by the journaled dirty set instead of
-     * re-walking every material queue. This flag (or the
-     * PASCAL_FORCE_REPAIR environment variable) disables the patch
+     * re-walking every material queue. This flag disables the patch
      * path so every non-reused boundary pays the full greedy walk —
      * the pre-optimization cost model. Results must be byte-identical
      * either way; the plan-repair invariance tests pin the full 2^5

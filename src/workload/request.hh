@@ -457,7 +457,7 @@ class Request
      * changes (batch entry/exit, admit, swap, detach, migration) and
      * the elapsed interval is settled in one addition at the next
      * observation point (emission, detach, finish, scoring). The
-     * PASCAL_FORCE_ACCRUE debug mode keeps the eager per-iteration
+     * SchedLimits::forceAccrue debug mode keeps the eager per-iteration
      * walk as a verification pass that panics on any stale stamp.
      */
     BucketKind accrualKind = BucketKind::Blocked;

@@ -127,6 +127,8 @@ Trace::fromCsv(const std::string& path)
             fatal("Trace::fromCsv: malformed line " +
                   std::to_string(line_no) + " in '" + path + "'");
         }
+        // Validate before sorting: a NaN arrival is no sort key.
+        s.validate();
         trace.requests.push_back(std::move(s));
     }
     trace.sortByArrival();

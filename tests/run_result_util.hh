@@ -14,7 +14,7 @@
 
 #include <cstddef>
 
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_result.hh"
 
 namespace pascal
 {

@@ -5,7 +5,7 @@
  * The lazy phase-time accrual replaces the O(hosted) per-iteration
  * accrueAll walk with a per-request {bucket, since} stamp that is
  * restamped at state changes and settled at observation points. Its
- * contract: PASCAL_FORCE_ACCRUE (the eager verification walk that
+ * contract: SchedLimits::forceAccrue (the eager verification walk that
  * recomputes every hosted request's standing bucket each iteration
  * and panics on a stale stamp) must run the whole
  * {FCFS, RR, PASCAL, SRPT, PASCAL-Spec} x predictor grid without

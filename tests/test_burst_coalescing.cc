@@ -4,7 +4,7 @@
  *
  * Same-timestamp arrivals are drained as one burst event and every
  * kick() of the burst dedupes into a single deferred plan boundary
- * per touched instance. The contract: PASCAL_FORCE_KICK /
+ * per touched instance. The contract:
  * SchedLimits::forcePerArrivalKick (one boundary event per kick — the
  * pre-optimization cost model that rebuilds a plan per burst member)
  * must produce byte-identical RunResults, including bit-exact

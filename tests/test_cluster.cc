@@ -1,13 +1,13 @@
 /**
  * @file
  * Integration tests for the full cluster: routing, migration at phase
- * boundaries, fabric transfer accounting, and the ServingSystem
- * facade.
+ * boundaries, fabric transfer accounting, and the one-shot
+ * RunContext::execute entry point.
  */
 
 #include <gtest/gtest.h>
 
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/workload/generator.hh"
@@ -19,7 +19,7 @@ using namespace pascal;
 using cluster::PlacementType;
 using cluster::RunResult;
 using cluster::SchedulerType;
-using cluster::ServingSystem;
+using cluster::RunContext;
 using cluster::SystemConfig;
 
 workload::Trace
@@ -54,8 +54,7 @@ TEST(Cluster, AllRequestsFinishUnderEveryScheduler)
         auto place = sched == SchedulerType::Pascal
                          ? PlacementType::Pascal
                          : PlacementType::Baseline;
-        ServingSystem system(smallConfig(sched, place));
-        auto result = system.run(trace);
+        auto result = RunContext::execute(smallConfig(sched, place), trace);
         EXPECT_EQ(result.numUnfinished, 0u);
         EXPECT_EQ(result.aggregate.numFinished, trace.size());
         EXPECT_GT(result.aggregate.throughputTokensPerSec, 0.0);
@@ -64,9 +63,9 @@ TEST(Cluster, AllRequestsFinishUnderEveryScheduler)
 
 TEST(Cluster, PascalMigratesAtPhaseBoundaries)
 {
-    ServingSystem system(
-        smallConfig(SchedulerType::Pascal, PlacementType::Pascal));
-    auto result = system.run(smallTrace(60, 40.0));
+    auto result = RunContext::execute(
+        smallConfig(SchedulerType::Pascal, PlacementType::Pascal),
+        smallTrace(60, 40.0));
     EXPECT_EQ(result.numUnfinished, 0u);
     // With several instances and bursty arrivals, some phase
     // transitions must land on a different instance.
@@ -78,27 +77,27 @@ TEST(Cluster, PascalMigratesAtPhaseBoundaries)
 
 TEST(Cluster, NoMigrationVariantNeverMigrates)
 {
-    ServingSystem system(smallConfig(SchedulerType::Pascal,
-                                     PlacementType::PascalNoMigration));
-    auto result = system.run(smallTrace(60, 40.0));
+    auto result = RunContext::execute(
+        smallConfig(SchedulerType::Pascal,
+                    PlacementType::PascalNoMigration),
+        smallTrace(60, 40.0));
     EXPECT_EQ(result.totalMigrations, 0);
     EXPECT_TRUE(result.kvTransferLatencies.empty());
 }
 
 TEST(Cluster, BaselinePlacementNeverMigrates)
 {
-    ServingSystem system(
-        smallConfig(SchedulerType::Fcfs, PlacementType::Baseline));
-    auto result = system.run(smallTrace(60, 40.0));
+    auto result = RunContext::execute(
+        smallConfig(SchedulerType::Fcfs, PlacementType::Baseline),
+        smallTrace(60, 40.0));
     EXPECT_EQ(result.totalMigrations, 0);
 }
 
 TEST(Cluster, MetricsArePerRequestComplete)
 {
     auto trace = smallTrace(30);
-    ServingSystem system(
-        smallConfig(SchedulerType::Pascal, PlacementType::Pascal));
-    auto result = system.run(trace);
+    auto result = RunContext::execute(
+        smallConfig(SchedulerType::Pascal, PlacementType::Pascal), trace);
 
     ASSERT_EQ(result.perRequest.size(), trace.size());
     for (const auto& m : result.perRequest) {
@@ -117,8 +116,7 @@ TEST(Cluster, OracleCapacityNeverPreempts)
     // Huge capacity: no instance should ever swap.
     auto cfg = smallConfig(SchedulerType::Fcfs, PlacementType::Baseline,
                            2000000);
-    ServingSystem system(cfg);
-    auto result = system.run(smallTrace(50, 50.0));
+    auto result = RunContext::execute(cfg, smallTrace(50, 50.0));
     EXPECT_EQ(result.numUnfinished, 0u);
     for (const auto& m : result.perRequest) {
         EXPECT_NEAR(m.reasoningBuckets.preempted, 0.0, 1e-9);
@@ -134,8 +132,8 @@ TEST(Cluster, ConstrainedCapacitySlowerThanOracle)
     auto tight_cfg = smallConfig(SchedulerType::Fcfs,
                                  PlacementType::Baseline, 1504, 2);
 
-    auto oracle = ServingSystem(oracle_cfg).run(trace);
-    auto tight = ServingSystem(tight_cfg).run(trace);
+    auto oracle = RunContext::execute(oracle_cfg, trace);
+    auto tight = RunContext::execute(tight_cfg, trace);
 
     EXPECT_GE(tight.aggregate.meanTtft,
               oracle.aggregate.meanTtft * 0.99);
@@ -146,8 +144,7 @@ TEST(Cluster, PeakKvReportedForOracleRecipe)
 {
     auto cfg = smallConfig(SchedulerType::Fcfs, PlacementType::Baseline,
                            2000000);
-    ServingSystem system(cfg);
-    auto result = system.run(smallTrace(30));
+    auto result = RunContext::execute(cfg, smallTrace(30));
     EXPECT_GT(result.peakGpuKvTokens, 0);
     EXPECT_LE(result.peakGpuKvTokens, 2000000);
     EXPECT_EQ(result.kvCapacityTokens, 2000000);
@@ -158,8 +155,7 @@ TEST(Cluster, CapacityFractionApplied)
     auto cfg = smallConfig(SchedulerType::Fcfs, PlacementType::Baseline,
                            10000);
     cfg.kvCapacityFraction = 0.5;
-    ServingSystem system(cfg);
-    auto result = system.run(smallTrace(5, 5.0));
+    auto result = RunContext::execute(cfg, smallTrace(5, 5.0));
     EXPECT_EQ(result.kvCapacityTokens, 5000);
 }
 
@@ -167,8 +163,8 @@ TEST(Cluster, RunsAreReproducible)
 {
     auto trace = smallTrace(40, 30.0);
     auto cfg = smallConfig(SchedulerType::Pascal, PlacementType::Pascal);
-    auto r1 = ServingSystem(cfg).run(trace);
-    auto r2 = ServingSystem(cfg).run(trace);
+    auto r1 = RunContext::execute(cfg, trace);
+    auto r2 = RunContext::execute(cfg, trace);
     ASSERT_EQ(r1.perRequest.size(), r2.perRequest.size());
     for (std::size_t i = 0; i < r1.perRequest.size(); ++i) {
         EXPECT_DOUBLE_EQ(r1.perRequest[i].ttft, r2.perRequest[i].ttft);
@@ -180,9 +176,9 @@ TEST(Cluster, RunsAreReproducible)
 
 TEST(Cluster, EmptyTraceIsHarmless)
 {
-    ServingSystem system(
-        smallConfig(SchedulerType::Pascal, PlacementType::Pascal));
-    auto result = system.run(workload::Trace{});
+    auto result = RunContext::execute(
+        smallConfig(SchedulerType::Pascal, PlacementType::Pascal),
+        workload::Trace{});
     EXPECT_EQ(result.aggregate.numRequests, 0u);
     EXPECT_EQ(result.numUnfinished, 0u);
 }
@@ -191,8 +187,7 @@ TEST(Cluster, SingleInstanceClusterWorks)
 {
     auto cfg = smallConfig(SchedulerType::Pascal, PlacementType::Pascal,
                            4000, 1);
-    ServingSystem system(cfg);
-    auto result = system.run(smallTrace(20));
+    auto result = RunContext::execute(cfg, smallTrace(20));
     EXPECT_EQ(result.numUnfinished, 0u);
     EXPECT_EQ(result.totalMigrations, 0); // Nowhere to go.
 }
@@ -201,11 +196,11 @@ TEST(Cluster, ValidatesConfig)
 {
     auto cfg = smallConfig(SchedulerType::Pascal, PlacementType::Pascal);
     cfg.numInstances = 0;
-    EXPECT_THROW(ServingSystem{cfg}, FatalError);
+    EXPECT_THROW(RunContext{cfg}, FatalError);
 
     cfg = smallConfig(SchedulerType::Pascal, PlacementType::Pascal);
     cfg.kvCapacityFraction = -0.5;
-    EXPECT_THROW(ServingSystem{cfg}, FatalError);
+    EXPECT_THROW(RunContext{cfg}, FatalError);
 }
 
 TEST(Cluster, ThroughputComparableAcrossSchedulers)
@@ -214,14 +209,14 @@ TEST(Cluster, ThroughputComparableAcrossSchedulers)
     // throughput much (within a loose band here).
     auto trace = smallTrace(80, 40.0);
     double tp_fcfs =
-        ServingSystem(
-            smallConfig(SchedulerType::Fcfs, PlacementType::Baseline))
-            .run(trace)
+        RunContext::execute(
+            smallConfig(SchedulerType::Fcfs, PlacementType::Baseline),
+            trace)
             .aggregate.throughputTokensPerSec;
     double tp_pascal =
-        ServingSystem(
-            smallConfig(SchedulerType::Pascal, PlacementType::Pascal))
-            .run(trace)
+        RunContext::execute(
+            smallConfig(SchedulerType::Pascal, PlacementType::Pascal),
+            trace)
             .aggregate.throughputTokensPerSec;
     EXPECT_GT(tp_pascal, tp_fcfs * 0.5);
     EXPECT_LT(tp_pascal, tp_fcfs * 2.0);

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/workload/generator.hh"
@@ -18,7 +18,7 @@ namespace
 using namespace pascal;
 using cluster::PlacementType;
 using cluster::SchedulerType;
-using cluster::ServingSystem;
+using cluster::RunContext;
 using cluster::SystemConfig;
 
 workload::RequestSpec
@@ -57,8 +57,8 @@ TEST(EdgeCases, MonsterRequestDoesNotBlockOthersUnderRr)
     trace.requests = {spec(0, 0.0, 5000, 100, 10),
                       spec(1, 0.1, 64, 50, 10),
                       spec(2, 0.2, 64, 50, 10)};
-    auto result = ServingSystem(tinyConfig(SchedulerType::Rr, 1000))
-                      .run(trace);
+    auto result = RunContext::execute(
+        tinyConfig(SchedulerType::Rr, 1000), trace);
     EXPECT_EQ(result.numUnfinished, 1u);
     EXPECT_FALSE(result.perRequest[0].finished);
     EXPECT_TRUE(result.perRequest[1].finished);
@@ -73,8 +73,8 @@ TEST(EdgeCases, MonsterRequestBlocksQueueUnderStrictFcfs)
     workload::Trace trace;
     trace.requests = {spec(0, 0.0, 5000, 100, 10),
                       spec(1, 0.1, 64, 50, 10)};
-    auto result = ServingSystem(tinyConfig(SchedulerType::Fcfs, 1000))
-                      .run(trace);
+    auto result = RunContext::execute(
+        tinyConfig(SchedulerType::Fcfs, 1000), trace);
     EXPECT_EQ(result.numUnfinished, 2u);
 }
 
@@ -85,8 +85,8 @@ TEST(EdgeCases, RequestOutgrowingMemoryIsEvictedForever)
     workload::Trace trace;
     trace.requests = {spec(0, 0.0, 400, 700, 10), // Grows past 1000.
                       spec(1, 0.1, 64, 50, 10)};
-    auto result = ServingSystem(tinyConfig(SchedulerType::Rr, 1000))
-                      .run(trace);
+    auto result = RunContext::execute(
+        tinyConfig(SchedulerType::Rr, 1000), trace);
     EXPECT_EQ(result.numUnfinished, 1u);
     EXPECT_FALSE(result.perRequest[0].finished);
     EXPECT_TRUE(result.perRequest[1].finished);
@@ -97,9 +97,8 @@ TEST(EdgeCases, SimultaneousArrivalsAllServed)
     workload::Trace trace;
     for (int i = 0; i < 20; ++i)
         trace.requests.push_back(spec(i, 1.0, 64, 30, 10));
-    auto result =
-        ServingSystem(tinyConfig(SchedulerType::Pascal, 100000))
-            .run(trace);
+    auto result = RunContext::execute(
+        tinyConfig(SchedulerType::Pascal, 100000), trace);
     EXPECT_EQ(result.numUnfinished, 0u);
 }
 
@@ -109,7 +108,7 @@ TEST(EdgeCases, HorizonCutsRunShort)
     trace.requests = {spec(0, 0.0, 64, 2000, 500)};
     auto cfg = tinyConfig(SchedulerType::Fcfs, 100000);
     cfg.maxSimTime = 1.0; // Far too short for 2500 tokens.
-    auto result = ServingSystem(cfg).run(trace);
+    auto result = RunContext::execute(cfg, trace);
     EXPECT_EQ(result.numUnfinished, 1u);
     EXPECT_FALSE(result.perRequest[0].finished);
 }
@@ -120,9 +119,8 @@ TEST(EdgeCases, SingleTokenPhases)
     // and 1 answering token.
     workload::Trace trace;
     trace.requests = {spec(0, 0.0, 16, 1, 1)};
-    auto result =
-        ServingSystem(tinyConfig(SchedulerType::Pascal, 100000))
-            .run(trace);
+    auto result = RunContext::execute(
+        tinyConfig(SchedulerType::Pascal, 100000), trace);
     ASSERT_EQ(result.numUnfinished, 0u);
     const auto& m = result.perRequest[0];
     EXPECT_GT(m.reasoningLatency, 0.0);
@@ -136,8 +134,8 @@ TEST(EdgeCases, CapacityOfOneBlockStillProgresses)
     workload::Trace trace;
     for (int i = 0; i < 3; ++i)
         trace.requests.push_back(spec(i, 0.1 * i, 8, 5, 3));
-    auto result = ServingSystem(tinyConfig(SchedulerType::Rr, 64))
-                      .run(trace);
+    auto result = RunContext::execute(
+        tinyConfig(SchedulerType::Rr, 64), trace);
     EXPECT_EQ(result.numUnfinished, 0u);
 }
 
@@ -148,7 +146,7 @@ TEST(EdgeCases, ManyInstancesFewRequests)
                       spec(1, 0.0, 64, 20, 10)};
     auto cfg = tinyConfig(SchedulerType::Pascal, 100000);
     cfg.numInstances = 16;
-    auto result = ServingSystem(cfg).run(trace);
+    auto result = RunContext::execute(cfg, trace);
     EXPECT_EQ(result.numUnfinished, 0u);
 }
 
@@ -159,9 +157,8 @@ TEST(EdgeCases, BurstThenSilence)
     workload::Trace trace;
     for (int i = 0; i < 40; ++i)
         trace.requests.push_back(spec(i, 0.0, 64, 60, 20));
-    auto result =
-        ServingSystem(tinyConfig(SchedulerType::Pascal, 2000))
-            .run(trace);
+    auto result = RunContext::execute(
+        tinyConfig(SchedulerType::Pascal, 2000), trace);
     EXPECT_EQ(result.numUnfinished, 0u);
     EXPECT_LE(result.peakGpuKvTokens, 2000);
 }
@@ -173,9 +170,8 @@ TEST(EdgeCases, ZeroReasoningPrewarmMix)
     auto warm = spec(0, 0.0, 64, 0, 20);
     warm.startInAnswering = true;
     trace.requests = {warm, spec(1, 0.05, 64, 30, 10)};
-    auto result =
-        ServingSystem(tinyConfig(SchedulerType::Pascal, 100000))
-            .run(trace);
+    auto result = RunContext::execute(
+        tinyConfig(SchedulerType::Pascal, 100000), trace);
     EXPECT_EQ(result.numUnfinished, 0u);
     EXPECT_GT(result.perRequest[0].qoe, 0.0);
 }

@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "src/cluster/instance.hh"
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
 #include "src/core/pascal_scheduler.hh"
@@ -109,7 +109,7 @@ TEST(AnsweringReserve, EndToEndRunStillCompletes)
     cluster::SystemConfig cfg = cluster::SystemConfig::pascal(2);
     cfg.gpuKvCapacityTokens = 4000;
     cfg.limits.answeringReserveFraction = 0.25;
-    auto result = cluster::ServingSystem(cfg).run(trace);
+    auto result = cluster::RunContext::execute(cfg, trace);
     EXPECT_EQ(result.numUnfinished, 0u);
 }
 
@@ -148,12 +148,12 @@ TEST(ChunkedPrefill, EndToEndRunCompletes)
     cluster::SystemConfig cfg = cluster::SystemConfig::pascal(2);
     cfg.gpuKvCapacityTokens = 6000;
     cfg.limits.chunkedPrefill = true;
-    auto result = cluster::ServingSystem(cfg).run(trace);
+    auto result = cluster::RunContext::execute(cfg, trace);
     EXPECT_EQ(result.numUnfinished, 0u);
 
     // Same trace under prefill priority: both must conserve tokens.
     cfg.limits.chunkedPrefill = false;
-    auto base = cluster::ServingSystem(cfg).run(trace);
+    auto base = cluster::RunContext::execute(cfg, trace);
     EXPECT_EQ(base.numUnfinished, 0u);
     EXPECT_EQ(result.aggregate.numFinished, base.aggregate.numFinished);
 }

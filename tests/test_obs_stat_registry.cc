@@ -17,6 +17,7 @@
 #include "src/common/rng.hh"
 #include "src/obs/stat_registry.hh"
 #include "src/workload/generator.hh"
+#include "src/workload/slo_class.hh"
 
 namespace
 {
@@ -125,18 +126,13 @@ TEST(StatRegistry, StatKindNames)
 
 /** A registry snapshot from a real run must agree with every
  *  hand-wired accessor it generalizes. */
-TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
+/** The hand-wired RunResult counters must equal the generic dump's
+ *  rows for one finished run of @p cfg over @p trace.
+ *  @return The run's result. */
+cluster::RunResult
+expectDumpMatchesResult(const SystemConfig& cfg,
+                        const workload::Trace& trace)
 {
-    Rng rng(321);
-    auto trace = workload::generateTrace(
-        workload::DatasetProfile::alpacaEval(), 150, 20.0, rng);
-    SystemConfig cfg;
-    cfg.scheduler = SchedulerType::Pascal;
-    cfg.numInstances = 2;
-    cfg.gpuKvCapacityTokens = 4096;
-    cfg.kvBlockSizeTokens = 16;
-    cfg.limits.demoteThresholdTokens = 600;
-
     cluster::RunContext ctx(cfg);
     ctx.submit(trace);
     ctx.run();
@@ -165,6 +161,38 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
     EXPECT_DOUBLE_EQ(counter_value("cluster.migrations"),
                      static_cast<double>(result.totalMigrations));
 
+    // Failure accounting: RunResult's fault counters and the
+    // registry's cluster.fault.* rows are one ledger.
+    EXPECT_DOUBLE_EQ(counter_value("cluster.fault.crashes"),
+                     static_cast<double>(result.numCrashes));
+    EXPECT_DOUBLE_EQ(counter_value("cluster.fault.retries"),
+                     static_cast<double>(result.numRetries));
+    EXPECT_DOUBLE_EQ(counter_value("cluster.fault.shed"),
+                     static_cast<double>(result.numShed));
+    EXPECT_DOUBLE_EQ(counter_value("cluster.fault.terminal_failures"),
+                     static_cast<double>(result.numTerminalFailures));
+
+    // Per-class outcomes: every RunResult::perClass field is the
+    // cluster.slo.<class>.<field> row.
+    for (std::size_t c = 0; c < workload::kNumSloClasses; ++c) {
+        const std::string p =
+            std::string("cluster.slo.") +
+            workload::sloClassName(static_cast<workload::SloClass>(c));
+        const auto& row = result.perClass[c];
+        EXPECT_DOUBLE_EQ(counter_value(p + ".submitted"),
+                         static_cast<double>(row.submitted));
+        EXPECT_DOUBLE_EQ(counter_value(p + ".completed"),
+                         static_cast<double>(row.completed));
+        EXPECT_DOUBLE_EQ(counter_value(p + ".shed"),
+                         static_cast<double>(row.shed));
+        EXPECT_DOUBLE_EQ(counter_value(p + ".deadline_failed"),
+                         static_cast<double>(row.deadlineFailed));
+        EXPECT_DOUBLE_EQ(counter_value(p + ".retry_failed"),
+                         static_cast<double>(row.retryFailed));
+        EXPECT_DOUBLE_EQ(counter_value(p + ".demoted"),
+                         static_cast<double>(row.demoted));
+    }
+
     // Per-instance stats exist for every instance and roll up to the
     // hand-wired totals.
     double iterations = 0.0;
@@ -177,7 +205,9 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
                   nullptr);
         const obs::StatValue* batch =
             obs::findStat(dump, prefix + ".batch.decode_size");
-        ASSERT_NE(batch, nullptr);
+        EXPECT_NE(batch, nullptr);
+        if (batch == nullptr)
+            continue;
         EXPECT_EQ(batch->kind, obs::StatKind::Distribution);
         EXPECT_GT(batch->count, 0u);
     }
@@ -186,6 +216,57 @@ TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
 
     // Two snapshots of an idle cluster are identical, row for row.
     EXPECT_EQ(clu.dumpStats(), clu.dumpStats());
+    return result;
+}
+
+TEST_F(StatRegistryEndToEnd, DumpIsSupersetOfHandWiredCounters)
+{
+    Rng rng(321);
+    auto trace = workload::generateTrace(
+        workload::DatasetProfile::alpacaEval(), 150, 20.0, rng);
+    SystemConfig cfg;
+    cfg.scheduler = SchedulerType::Pascal;
+    cfg.numInstances = 2;
+    cfg.gpuKvCapacityTokens = 4096;
+    cfg.kvBlockSizeTokens = 16;
+    cfg.limits.demoteThresholdTokens = 600;
+    {
+        SCOPED_TRACE("classes and faults off");
+        expectDumpMatchesResult(cfg, trace);
+    }
+
+    // The same deployment with SLO classes (deadlines + overload
+    // control) and the fault layer on, so the per-class and failure
+    // rows carry real counts rather than zeros.
+    auto classed = trace;
+    workload::assignSloClasses(classed);
+    SystemConfig layered = cfg;
+    layered.sloClasses.enabled = true;
+    layered.sloClasses.classes[workload::sloClassIndex(
+                                   workload::SloClass::Interactive)]
+        .relativeDeadline = 10.0;
+    layered.fault.enabled = true;
+    layered.fault.seed = 7;
+    layered.fault.crashRate = 0.02;
+    layered.fault.mttr = 1.5;
+    layered.fault.linkFailureProb = 0.2;
+    layered.fault.retryBudget = 4;
+    layered.fault.backoffBase = 0.1;
+    layered.fault.backoffCap = 1.0;
+    SCOPED_TRACE("classes and faults on");
+    auto result = expectDumpMatchesResult(layered, classed);
+
+    // Guard against comparing zeros: the layered run must shed, fail
+    // on a deadline and crash.
+    std::uint64_t shed = 0;
+    std::uint64_t deadline_failed = 0;
+    for (const auto& row : result.perClass) {
+        shed += row.shed;
+        deadline_failed += row.deadlineFailed;
+    }
+    EXPECT_GT(shed, 0u);
+    EXPECT_GT(deadline_failed, 0u);
+    EXPECT_GT(result.numCrashes, 0u);
 }
 
 } // namespace

@@ -13,7 +13,7 @@
 
 #include <map>
 
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/rng.hh"
 #include "src/common/stats.hh"
 #include "src/workload/generator.hh"
@@ -24,7 +24,7 @@ namespace
 using namespace pascal;
 using cluster::PlacementType;
 using cluster::SchedulerType;
-using cluster::ServingSystem;
+using cluster::RunContext;
 using cluster::SystemConfig;
 
 SystemConfig
@@ -76,16 +76,14 @@ TEST(PaperShapes, Fig4ReasoningLatencyAsymmetry)
 
     auto oracle_cfg = singleInstance(SchedulerType::Fcfs,
                                      oracle_capacity);
-    auto oracle = ServingSystem(oracle_cfg).run(trace);
+    auto oracle = RunContext::execute(oracle_cfg, trace);
     ASSERT_EQ(oracle.numUnfinished, 0u);
     TokenCount constrained = oracle.peakGpuKvTokens / 2;
 
-    auto fcfs = ServingSystem(singleInstance(SchedulerType::Fcfs,
-                                             constrained))
-                    .run(trace);
-    auto rr = ServingSystem(singleInstance(SchedulerType::Rr,
-                                           constrained))
-                  .run(trace);
+    auto fcfs = RunContext::execute(
+        singleInstance(SchedulerType::Fcfs, constrained), trace);
+    auto rr = RunContext::execute(
+        singleInstance(SchedulerType::Rr, constrained), trace);
 
     auto orc = reasoningLatencyByLength(oracle);
     auto f = reasoningLatencyByLength(fcfs);
@@ -119,7 +117,7 @@ TEST(PaperShapes, Fig5AnsweringSloRobustness)
     auto base = singleInstance(SchedulerType::Fcfs, oracle_capacity);
     base.slo.qoeFromFirstToken = false;
 
-    auto oracle = ServingSystem(base).run(trace);
+    auto oracle = RunContext::execute(base, trace);
     TokenCount constrained = oracle.peakGpuKvTokens / 2;
 
     auto fcfs_cfg = singleInstance(SchedulerType::Fcfs, constrained);
@@ -127,8 +125,8 @@ TEST(PaperShapes, Fig5AnsweringSloRobustness)
     auto rr_cfg = singleInstance(SchedulerType::Rr, constrained);
     rr_cfg.slo.qoeFromFirstToken = false;
 
-    auto fcfs = ServingSystem(fcfs_cfg).run(trace);
-    auto rr = ServingSystem(rr_cfg).run(trace);
+    auto fcfs = RunContext::execute(fcfs_cfg, trace);
+    auto rr = RunContext::execute(rr_cfg, trace);
 
     EXPECT_LT(oracle.aggregate.sloViolationRate, 0.05);
     EXPECT_LT(rr.aggregate.sloViolationRate, 0.15);
@@ -169,12 +167,10 @@ clusterTrace(std::uint64_t seed = 606)
 TEST(PaperShapes, Fig10PascalTailWins)
 {
     auto trace = clusterTrace();
-    auto fcfs = ServingSystem(clusterCfg(SchedulerType::Fcfs,
-                                         PlacementType::Baseline))
-                    .run(trace);
-    auto pascal = ServingSystem(clusterCfg(SchedulerType::Pascal,
-                                           PlacementType::Pascal))
-                      .run(trace);
+    auto fcfs = RunContext::execute(
+        clusterCfg(SchedulerType::Fcfs, PlacementType::Baseline), trace);
+    auto pascal = RunContext::execute(
+        clusterCfg(SchedulerType::Pascal, PlacementType::Pascal), trace);
 
     ASSERT_EQ(fcfs.numUnfinished, 0u);
     ASSERT_EQ(pascal.numUnfinished, 0u);
@@ -199,14 +195,14 @@ TEST(PaperShapes, Fig10PascalTailWins)
 TEST(PaperShapes, Fig12ThroughputParity)
 {
     auto trace = clusterTrace();
-    double fcfs = ServingSystem(clusterCfg(SchedulerType::Fcfs,
-                                           PlacementType::Baseline))
-                      .run(trace)
-                      .aggregate.throughputTokensPerSec;
-    double pascal = ServingSystem(clusterCfg(SchedulerType::Pascal,
-                                             PlacementType::Pascal))
-                        .run(trace)
-                        .aggregate.throughputTokensPerSec;
+    double fcfs =
+        RunContext::execute(
+            clusterCfg(SchedulerType::Fcfs, PlacementType::Baseline), trace)
+            .aggregate.throughputTokensPerSec;
+    double pascal =
+        RunContext::execute(
+            clusterCfg(SchedulerType::Pascal, PlacementType::Pascal), trace)
+            .aggregate.throughputTokensPerSec;
     EXPECT_GT(pascal, 0.75 * fcfs);
     EXPECT_LT(pascal, 1.35 * fcfs);
 }
@@ -218,13 +214,12 @@ TEST(PaperShapes, Fig12ThroughputParity)
 TEST(PaperShapes, Fig15AdaptiveOverrideProtectsSlo)
 {
     auto trace = clusterTrace(707);
-    auto full = ServingSystem(clusterCfg(SchedulerType::Pascal,
-                                         PlacementType::Pascal))
-                    .run(trace);
-    auto always =
-        ServingSystem(clusterCfg(SchedulerType::Pascal,
-                                 PlacementType::PascalNonAdaptive))
-            .run(trace);
+    auto full = RunContext::execute(
+        clusterCfg(SchedulerType::Pascal, PlacementType::Pascal), trace);
+    auto always = RunContext::execute(
+        clusterCfg(SchedulerType::Pascal,
+                   PlacementType::PascalNonAdaptive),
+        trace);
 
     EXPECT_GE(always.totalMigrations, full.totalMigrations);
     EXPECT_GE(always.aggregate.sloViolationRate,
@@ -235,9 +230,8 @@ TEST(PaperShapes, Fig15AdaptiveOverrideProtectsSlo)
 TEST(PaperShapes, SecVcTransfersNegligible)
 {
     auto trace = clusterTrace();
-    auto pascal = ServingSystem(clusterCfg(SchedulerType::Pascal,
-                                           PlacementType::Pascal))
-                      .run(trace);
+    auto pascal = RunContext::execute(
+        clusterCfg(SchedulerType::Pascal, PlacementType::Pascal), trace);
     ASSERT_GT(pascal.totalMigrations, 0);
     double p99_transfer =
         stats::percentile(pascal.kvTransferLatencies, 99.0);

@@ -258,8 +258,6 @@ TEST_F(PlanReuseInvariance, UncontendedSteadyStateAlsoIdentical)
 
 TEST_F(PlanReuseFastPath, SteadyStateActuallyReusesPlans)
 {
-    if (std::getenv("PASCAL_FORCE_RESORT") != nullptr)
-        GTEST_SKIP() << "fast path globally disabled by env";
     Rng rng(5);
     auto profile = workload::DatasetProfile::alpacaEval();
     profile.reasoning = {800.0, 0.3, 256, 2000};
@@ -271,9 +269,19 @@ TEST_F(PlanReuseFastPath, SteadyStateActuallyReusesPlans)
     cfg.placement = PlacementType::Pascal;
     cfg.numInstances = 1;
 
+    // The config fields are the only force switches: a stray
+    // PASCAL_FORCE_RESORT in the environment must not turn the fast
+    // path off behind the config's back.
+    const char* prev_env = std::getenv("PASCAL_FORCE_RESORT");
+    const std::string saved = prev_env != nullptr ? prev_env : "";
+    setenv("PASCAL_FORCE_RESORT", "1", 1);
     cluster::RunContext fast(cfg);
     fast.submit(trace);
     fast.run();
+    if (prev_env != nullptr)
+        setenv("PASCAL_FORCE_RESORT", saved.c_str(), 1);
+    else
+        unsetenv("PASCAL_FORCE_RESORT");
     const auto& inst = *fast.cluster().getInstances()[0];
     EXPECT_GT(inst.numIterations(), 0u);
     // Long decode phases: the bulk of iterations must have reused the
@@ -290,8 +298,6 @@ TEST_F(PlanReuseFastPath, SteadyStateActuallyReusesPlans)
 
 TEST_F(PlanReuseFastPath, MaintainedCountersTrackScriptedSequence)
 {
-    if (std::getenv("PASCAL_FORCE_RESORT") != nullptr)
-        GTEST_SKIP() << "fast path globally disabled by env";
     // Drive a scheduler through the notification contract directly
     // and check the O(1) counters against the states the recompute
     // scan would report.
@@ -538,9 +544,6 @@ TEST_F(PlanReuseInvariance, AllThirtyTwoForceCornersByteIdentical)
 
 TEST_F(PlanReuseFastPath, RepairsOutnumberFullWalksOnTransitionStorm)
 {
-    if (std::getenv("PASCAL_FORCE_RESORT") ||
-        std::getenv("PASCAL_FORCE_REPAIR"))
-        GTEST_SKIP() << "fast path globally disabled by env";
     // On the transition-heavy shape the dominant non-reused boundary
     // carries only bounded deltas, so the O(delta) patch — not the
     // full walk — must satisfy most of them.
@@ -554,9 +557,6 @@ TEST_F(PlanReuseFastPath, RepairsOutnumberFullWalksOnTransitionStorm)
 
 TEST_F(PlanReuseFastPath, ForcePlanRepairKeepsTheJournalDark)
 {
-    if (std::getenv("PASCAL_FORCE_RESORT") ||
-        std::getenv("PASCAL_FORCE_REPAIR"))
-        GTEST_SKIP() << "fast path globally disabled by env";
     // The force twin must not merely decline at the repair gate but
     // never journal at all: with forcePlanRepair set, every non-reused
     // boundary is a full walk. It turns the patch off, not verbatim

@@ -9,7 +9,7 @@
 #include <string>
 #include <tuple>
 
-#include "src/cluster/serving_system.hh"
+#include "src/cluster/run_context.hh"
 #include "src/common/rng.hh"
 #include "src/predict/predictor.hh"
 #include "src/workload/generator.hh"
@@ -20,7 +20,7 @@ namespace
 using namespace pascal;
 using cluster::PlacementType;
 using cluster::SchedulerType;
-using cluster::ServingSystem;
+using cluster::RunContext;
 using cluster::SystemConfig;
 
 struct GridPoint
@@ -136,14 +136,14 @@ class SchedulerGrid : public testing::TestWithParam<GridPoint>
 
 TEST_P(SchedulerGrid, EveryRequestFinishesExactlyOnce)
 {
-    auto result = ServingSystem(config()).run(trace());
+    auto result = RunContext::execute(config(), trace());
     EXPECT_EQ(result.numUnfinished, 0u);
     EXPECT_EQ(result.aggregate.numFinished, 40u);
 }
 
 TEST_P(SchedulerGrid, TimestampOrderingInvariants)
 {
-    auto result = ServingSystem(config()).run(trace());
+    auto result = RunContext::execute(config(), trace());
     for (const auto& m : result.perRequest) {
         ASSERT_TRUE(m.finished);
         EXPECT_GE(m.reasoningLatency, 0.0);
@@ -157,7 +157,7 @@ TEST_P(SchedulerGrid, TimestampOrderingInvariants)
 
 TEST_P(SchedulerGrid, QoeInUnitInterval)
 {
-    auto result = ServingSystem(config()).run(trace());
+    auto result = RunContext::execute(config(), trace());
     for (const auto& m : result.perRequest) {
         EXPECT_GE(m.qoe, 0.0);
         EXPECT_LE(m.qoe, 1.0);
@@ -166,7 +166,7 @@ TEST_P(SchedulerGrid, QoeInUnitInterval)
 
 TEST_P(SchedulerGrid, BucketsCoverPhaseLatency)
 {
-    auto result = ServingSystem(config()).run(trace());
+    auto result = RunContext::execute(config(), trace());
     for (const auto& m : result.perRequest) {
         // The reasoning-phase buckets tile [arrival, reasoningEnd].
         EXPECT_NEAR(m.reasoningBuckets.total(), m.reasoningLatency,
@@ -179,7 +179,7 @@ TEST_P(SchedulerGrid, BucketsCoverPhaseLatency)
 
 TEST_P(SchedulerGrid, PeakKvWithinCapacity)
 {
-    auto result = ServingSystem(config()).run(trace());
+    auto result = RunContext::execute(config(), trace());
     EXPECT_LE(result.peakGpuKvTokens, result.kvCapacityTokens);
 }
 
@@ -267,8 +267,8 @@ TEST(SchedulerOrdering, FcfsHasWorstTailBlockingUnderPressure)
     rr.scheduler = SchedulerType::Rr;
     rr.placement = PlacementType::Baseline;
 
-    auto fcfs_result = ServingSystem(fcfs).run(trace);
-    auto rr_result = ServingSystem(rr).run(trace);
+    auto fcfs_result = RunContext::execute(fcfs, trace);
+    auto rr_result = RunContext::execute(rr, trace);
 
     double fcfs_blocked = 0.0, rr_blocked = 0.0;
     for (const auto& m : fcfs_result.perRequest)

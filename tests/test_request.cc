@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "src/common/log.hh"
 #include "src/workload/request.hh"
 
@@ -51,6 +54,30 @@ TEST(RequestSpec, ValidatesFields)
     EXPECT_THROW(s.validate(), FatalError); // reasoningTokens != 0.
     s.reasoningTokens = 0;
     s.validate();
+
+    s = makeSpec();
+    s.arrival = -1.0;
+    EXPECT_THROW(s.validate(), FatalError);
+
+    // Non-finite arrivals are rejected with a message naming the
+    // request: NaN slips past a plain `arrival < 0` test, and +inf
+    // would run the simulation to its horizon.
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        s = makeSpec();
+        s.id = 17;
+        s.arrival = bad;
+        try {
+            s.validate();
+            FAIL() << "accepted arrival " << bad;
+        } catch (const FatalError& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("RequestSpec 17"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("non-finite arrival"), std::string::npos)
+                << msg;
+        }
+    }
 }
 
 TEST(Request, PhaseProgression)

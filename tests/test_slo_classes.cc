@@ -15,7 +15,7 @@
  *    semantics (shed and terminally-failed requests stay in the
  *    denominator; only fully-completed requests — including demoted
  *    best-effort ones — count in the numerator). Referenced by the
- *    doc comment in src/cluster/serving_system.hh.
+ *    doc comment in src/cluster/run_result.hh.
  */
 
 #include <gtest/gtest.h>

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for RunContext and the parallel SweepRunner: facade
- * equivalence, bit-reproducibility of runs, and serial/parallel
- * result parity on multi-point grids.
+ * Tests for RunContext and the parallel SweepRunner: stepped vs
+ * one-shot equivalence, bit-reproducibility of runs, and
+ * serial/parallel result parity on multi-point grids.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/cluster/run_context.hh"
-#include "src/cluster/serving_system.hh"
 #include "src/cluster/sweep_runner.hh"
 #include "src/common/log.hh"
 #include "src/common/rng.hh"
@@ -47,17 +46,6 @@ smallTrace(std::uint64_t seed, int n = 120, double rate = 10.0)
 
 // expectIdentical (tests/run_result_util.hh): byte-identical
 // comparison shared with the plan-reuse invariance suite.
-
-TEST_F(RunContextTest, MatchesServingSystemFacade)
-{
-    auto trace = smallTrace(7);
-    SystemConfig cfg = SystemConfig::pascal(2);
-
-    cluster::ServingSystem facade(cfg);
-    auto via_facade = facade.run(trace);
-    auto via_context = cluster::RunContext::execute(cfg, trace);
-    expectIdentical(via_facade, via_context);
-}
 
 TEST_F(RunContextTest, StepwiseRunMatchesOneShot)
 {

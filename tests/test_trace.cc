@@ -125,6 +125,36 @@ TEST(Trace, LegacyCsvWithoutClassColumnDefaultsToStandard)
     EXPECT_EQ(back.requests[0].sloClass, workload::SloClass::Standard);
 }
 
+TEST(Trace, FromCsvRejectsNonFiniteArrival)
+{
+    // A nan or inf arrival must fail the load, naming the request,
+    // instead of being sorted on a NaN key or run to the horizon.
+    for (const char* bad : {"nan", "inf"}) {
+        std::string path = testing::TempDir() + "pascal_trace_bad.csv";
+        {
+            std::FILE* f = std::fopen(path.c_str(), "w");
+            ASSERT_NE(f, nullptr);
+            std::fputs("id,arrival,prompt_tokens,reasoning_tokens,"
+                       "answer_tokens,start_in_answering,dataset\n",
+                       f);
+            std::fputs("0,0.5,128,100,50,0,unit\n", f);
+            std::fprintf(f, "2,%s,128,100,50,0,unit\n", bad);
+            std::fputs("1,1.5,128,100,50,0,unit\n", f);
+            std::fclose(f);
+        }
+        try {
+            Trace::fromCsv(path);
+            ADD_FAILURE() << "accepted arrival " << bad;
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "RequestSpec 2: non-finite arrival"),
+                      std::string::npos)
+                << e.what();
+        }
+        std::remove(path.c_str());
+    }
+}
+
 TEST(Trace, FromCsvMissingFileIsFatal)
 {
     EXPECT_THROW(Trace::fromCsv("/nonexistent/path.csv"), FatalError);
