@@ -207,11 +207,6 @@ class Cluster
     /** @name Observability (src/obs/) */
     /** @{ */
 
-    /** The gem5-style stat registry: every engine/plan/view/KV
-     *  counter under a hierarchical dotted name. Always built (it is
-     *  non-owning pointers over counters that exist anyway). */
-    const obs::StatRegistry& statRegistry() const { return registry; }
-
     /** Snapshot every registered stat (registration order). */
     obs::StatDump dumpStats() const { return registry.dump(); }
 

@@ -10,9 +10,9 @@
  * resulting head-of-line blocking is the behaviour Figs. 2(b), 4 and 5
  * characterize.
  *
- * The (arrival, id) key is immutable, so in incremental mode the
- * queue only ever changes on add/remove — the per-iteration sort of
- * the recompute path disappears entirely.
+ * FCFS is the shared planner with quantum 0 and no score, so SchedOrder
+ * reduces to (class rank, arrival, id): the key is immutable, and in
+ * incremental mode the queue only changes on add/remove.
  */
 
 #ifndef PASCAL_CORE_FCFS_SCHEDULER_HH
@@ -21,60 +21,34 @@
 #include <string>
 
 #include "src/core/intra_scheduler.hh"
-#include "src/core/ordered_queue.hh"
 
 namespace pascal
 {
 namespace core
 {
 
-/** Strict arrival order (immutable key), after the SLO-class rank
- *  (all-zero with classes off, so the rank level is inert). */
-struct FcfsOrder
-{
-    bool
-    operator()(const workload::Request* a,
-               const workload::Request* b) const
-    {
-        if (a->schedClassRank != b->schedClassRank)
-            return a->schedClassRank < b->schedClassRank;
-        if (a->spec().arrival != b->spec().arrival)
-            return a->spec().arrival < b->spec().arrival;
-        return a->id() < b->id();
-    }
-};
-
 /** Strict arrival-order scheduling with preempt-latest eviction. */
 class FcfsScheduler : public IntraScheduler
 {
   public:
-    explicit FcfsScheduler(SchedLimits limits);
+    /** FCFS has no quantum: quantum accounting is disabled so the
+     *  quanta level of the order never moves. */
+    explicit FcfsScheduler(SchedLimits limits) : IntraScheduler(limits)
+    {
+        this->limits.quantum = 0;
+    }
 
     std::string name() const override { return "FCFS"; }
 
   protected:
-    void planInto(const model::KvPool& pool,
-                  IterationPlan& out) override;
-
-    void onHostedAdded(workload::Request* req) override
-    {
-        queue.insert(req);
-    }
-
-    void onHostedRemoved(workload::Request* req) override
-    {
-        queue.erase(req);
-    }
-
-    void
-    onMaterialChanged(workload::Request* req, int delta) override
-    {
-        (void)delta;
-        queue.noteMaterialized(req);
-    }
-
-  private:
-    OrderedQueue<FcfsOrder> queue{1};
+    /**
+     * Stop at the first candidate that does not fit. Swapped requests
+     * are older than waiting ones by construction, so one ordered walk
+     * reproduces vLLM FCFS: resume-before-admit, block new arrivals
+     * behind the first request that does not fit, and evict from the
+     * back (the most recently arrived) when the batch cannot grow.
+     */
+    bool strictOrder() const override { return true; }
 };
 
 } // namespace core

@@ -136,7 +136,13 @@ IntraScheduler::add(workload::Request* req)
     req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req);
     noteStateChanged();
-    onHostedAdded(req);
+    if (keysUsePredictions())
+        req->schedScore = rankScore(req);
+    queueByTag(queueTagFor(req)).insert(req);
+    // A request arriving with a fat KV (or inside a speculative
+    // lookahead window) may be decided on at the very next boundary.
+    if (req->schedQueueTag == kHighTag)
+        deferDecision(req);
     // Journal entries for material landings are made by noteResidency
     // (called above, before the state resets): it is the single point
     // where a request gains KV on this instance — migration landings
@@ -211,7 +217,7 @@ IntraScheduler::remove(workload::Request* req)
         }
         // Queue unlink first (it reads schedInResidentList to keep
         // its material count exact), then the early-exit structures.
-        onHostedRemoved(req);
+        queueByTag(req->schedQueueTag).erase(req);
     }
     unlinkMaterial(req);
     if (req->schedCountedWaiting) {
@@ -268,8 +274,8 @@ IntraScheduler::noteResidency(workload::Request* req)
         }
         if (req->schedNode != nullptr) {
             // Flipped in place while linked (prefill/prewarm
-            // allocation): the owning queue's material count moves.
-            onMaterialChanged(req, 1);
+            // allocation): the node moves to the material sublist.
+            queueByTag(req->schedQueueTag).noteMaterialized(req);
         }
         if (req->schedCountedWaiting) {
             // It stopped waiting: retire its admission-floor entry.
@@ -280,7 +286,7 @@ IntraScheduler::noteResidency(workload::Request* req)
     } else if (!material && req->schedInResidentList) {
         unlinkMaterial(req);
         if (req->schedNode != nullptr)
-            onMaterialChanged(req, -1);
+            queueByTag(req->schedQueueTag).noteMaterialized(req);
     }
     if (req->schedCountedPrewarm &&
         req->exec != workload::ExecState::WaitingNew) {
@@ -312,19 +318,59 @@ IntraScheduler::noteExecuted(workload::Request* req)
 {
     if (!incremental)
         return;
-    bool quanta_changed =
+    const bool quanta_changed =
         req->quantaConsumed != req->schedCachedQuanta;
     req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req);
-    onRequestExecuted(req, quanta_changed);
+    // Keyed policies re-key every executed request (progress moves
+    // the predicted remaining work); the rest only on a quantum
+    // rollover or on leaving the high queue (the </think> token or a
+    // completion). Nothing ever moves from the low queue to the high.
+    const bool keyed = keysUsePredictions();
+    if (keyed)
+        req->schedScore = rankScore(req);
+    const bool high = req->schedQueueTag == kHighTag;
+    const bool leaves_high = high && !isHigh(req);
+    if (keyed || quanta_changed || leaves_high)
+        requeue(req, leaves_high ? kLowTag : req->schedQueueTag);
+    if (high && !leaves_high)
+        deferDecision(req);
 }
 
 void
-IntraScheduler::onPhaseTransition(workload::Request*)
+IntraScheduler::rekey(workload::Request* req)
 {
-    // Phase-unaware baselines need no bookkeeping. (The counter move
-    // itself was already synced by noteExecuted when the transition
-    // token was emitted.)
+    if (!incremental)
+        return;
+    req->schedCachedQuanta = req->quantaConsumed;
+    syncCounters(req);
+    requeue(req, queueTagFor(req));
+}
+
+OrderedQueue<SchedOrder>&
+IntraScheduler::queueByTag(std::uint8_t tag)
+{
+    if (tag == kHighTag)
+        return highQueue;
+    if (tag != kLowTag)
+        panic("IntraScheduler: queue tag " + std::to_string(tag) +
+              " names no queue");
+    return lowQueue;
+}
+
+void
+IntraScheduler::requeue(workload::Request* req, std::uint8_t tag)
+{
+    if (req->schedQueueTag == tag) {
+        queueByTag(tag).markDirty(req);
+    } else {
+        queueByTag(req->schedQueueTag).erase(req);
+        queueByTag(tag).insert(req);
+    }
+    // After the transfer, so the eviction-order relink reads the
+    // settled tag.
+    noteKeyChanged(req);
+    noteStateChanged();
 }
 
 int
@@ -630,16 +676,78 @@ IntraScheduler::patchPlan(IterationPlan& prev, const model::KvPool& pool)
 }
 
 void
-IntraScheduler::annotatePrediction(IterationPlan& plan) const
+IntraScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
 {
-    if (lengthPredictor == nullptr)
-        return;
-    double remaining = 0.0;
-    for (const auto* r : plan.prefill)
-        remaining += lengthPredictor->predictRemainingTokens(*r);
-    for (const auto* r : plan.decode)
-        remaining += lengthPredictor->predictRemainingTokens(*r);
-    plan.predictedRemainingTokens = remaining;
+    if (requiresPredictor() && lengthPredictor == nullptr) {
+        fatal(name() + ": no length predictor wired; set "
+              "SystemConfig::predictor (e.g. PredictorType::Oracle) or "
+              "use FCFS/RR/PASCAL");
+    }
+    if (incremental)
+        incrementalPlan(pool, out);
+    else
+        recomputePlan(pool, out);
+}
+
+void
+IntraScheduler::incrementalPlan(const model::KvPool& pool,
+                                IterationPlan& out)
+{
+    if (predictorMoved()) {
+        // The predictor learned: every cached score is suspect. Re-key
+        // everything, and offer every request to the plan-time
+        // decisions again (the demotion rule may have moved too).
+        for (auto* r : requests) {
+            r->schedScore = rankScore(r);
+            requeue(r, r->schedQueueTag);
+            if (r->schedQueueTag == kHighTag)
+                deferDecision(r);
+        }
+    }
+    applyDeferredDecisions();
+    highQueue.repair();
+    lowQueue.repair();
+    // The skip lists are walked in place — no scratch concatenation;
+    // the high queue outranks the low queue exactly as the recompute
+    // path's concatenated order does.
+    greedySelectRanges(highQueue.begin(), highQueue.end(),
+                       lowQueue.begin(), lowQueue.end(), capsHighQueue(),
+                       highBudgetCap(pool), pool, strictOrder(), out);
+}
+
+void
+IntraScheduler::recomputePlan(const model::KvPool& pool,
+                              IterationPlan& out)
+{
+    applyDeferredDecisions();
+    const bool keyed = keysUsePredictions();
+    highScratch.clear();
+    lowScratch.clear();
+    for (auto* r : requests) {
+        if (!schedulable(r))
+            continue;
+        // One prediction per request, not one per comparison; the
+        // cached score is the field the incremental queues order by.
+        if (keyed)
+            r->schedScore = rankScore(r);
+        (isHigh(r) ? highScratch : lowScratch).push_back(r);
+    }
+    std::sort(highScratch.begin(), highScratch.end(), SchedOrder{});
+    std::sort(lowScratch.begin(), lowScratch.end(), SchedOrder{});
+    orderScratch.assign(highScratch.begin(), highScratch.end());
+    orderScratch.insert(orderScratch.end(), lowScratch.begin(),
+                        lowScratch.end());
+    greedySelectInto(orderScratch, pool, strictOrder(), out,
+                     capsHighQueue() ? highScratch.size() : 0,
+                     highBudgetCap(pool));
+}
+
+TokenCount
+IntraScheduler::highBudgetCap(const model::KvPool& pool) const
+{
+    return static_cast<TokenCount>(
+        static_cast<double>(pool.gpuCapacity()) *
+        (1.0 - limits.answeringReserveFraction));
 }
 
 void

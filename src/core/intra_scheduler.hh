@@ -1,30 +1,35 @@
 /**
  * @file
- * Base class for intra-instance schedulers (Section II-C / IV-C).
+ * The intra-instance scheduler (Section II-C / IV-C): one planner that
+ * every policy shares.
  *
  * A scheduler owns the set of requests hosted on its instance and, at
  * every iteration boundary, produces an IterationPlan deciding which
  * requests prefill, decode, swap in, or are evicted, subject to the
  * GPU KV capacity.
  *
- * Incremental mode and the dirty-set contract
- * -------------------------------------------
- * The per-iteration scheduling path is the simulator's hottest loop,
- * so the base class supports two modes:
+ * One order, one planner
+ * ----------------------
+ * Every shipped policy is PASCAL's two-queue round robin with some
+ * levels frozen. Requests sit in a high or a low queue (isHigh()), and
+ * within a queue they are ordered by SchedOrder: SLO-class rank, quanta
+ * consumed, cached rank score, arrival, id. FCFS and SRPT never consume
+ * quanta, FCFS and RR keep score 0, and only PASCAL fills the high
+ * queue. The base class owns both queues and both plan paths; a policy
+ * overrides only the hooks that differ (see "Policy hooks" below).
  *
- *  - Recompute mode (default; also SchedLimits::forceResort):
- *    every buildPlan() call rebuilds and re-sorts the priority order
- *    from scratch. Simple, and the reference behaviour the invariance
- *    tests compare against.
+ *  - Recompute mode (default; also SchedLimits::forceResort): every
+ *    buildPlan() partitions the schedulable requests by isHigh(),
+ *    rescores them if keyed, std::sorts each partition by SchedOrder
+ *    and runs the greedy walk. This is the reference behaviour the
+ *    invariance tests compare against.
  *
  *  - Incremental mode (enabled by the owning Instance via
- *    enableIncremental()): the scheduler maintains its priority
- *    queues, the r_i / a_i monitor counters, and demotion candidates
- *    across iterations, repairing only requests whose ordering key
- *    actually changed. In the dominant decode-only steady state
- *    patchPlan() lets the instance run the previous IterationPlan
- *    verbatim (or patched by a bounded delta), skipping plan
- *    construction entirely.
+ *    enableIncremental()): the queues are skip lists repaired only for
+ *    requests whose key moved, and the r_i / a_i monitor counters are
+ *    maintained. In the dominant decode-only steady state patchPlan()
+ *    lets the instance run the previous IterationPlan verbatim (or
+ *    patched by a bounded delta), skipping plan construction entirely.
  *
  * Incremental mode relies on the *dirty-set contract*: every mutation
  * of a hosted request's scheduler-visible state must reach the
@@ -39,10 +44,10 @@
  * plus LengthPredictor::version() for predictor-driven key changes.
  * Code that mutates requests behind the scheduler's back (unit tests
  * poking exec states directly) must simply leave incremental mode off.
- * Subclasses hook the notifications via onHostedAdded/onHostedRemoved/
- * onRequestExecuted and must keep their queues equal to what their
- * recompute path would build — the randomized force-resort invariance
- * tests enforce byte-identical RunResults across the two modes.
+ * A policy that moves a key itself (PASCAL's demotion and quantum
+ * reset) reports it through rekey(). The randomized force-resort
+ * invariance tests enforce byte-identical RunResults across the two
+ * modes.
  */
 
 #ifndef PASCAL_CORE_INTRA_SCHEDULER_HH
@@ -71,28 +76,20 @@ namespace core
 {
 
 /**
- * Priority order of GPU residents across every shipped policy,
- * used to restore walk order over the residents an early-exited
- * greedy walk never visited, before evicting from the back. The
- * queue tag ranks PASCAL's high queue above its low queue; the SLO
- * class rank (all zero with classes off) ranks tenant classes within
- * a queue; below those every policy orders by (quanta, cached score,
- * arrival, id) — policies that freeze a level (FCFS/SRPT never
- * consume quanta, reactive policies keep score 0) degenerate to
- * exactly their own comparator. A policy whose order is NOT
- * expressible in these six fields must not rely on the early-exit
- * tail (or must extend this comparator) — the eviction-storm
- * invariance test runs every shipped policy against recompute mode to
- * keep the equivalence honest.
+ * The one within-queue priority order of every policy: SLO-class rank
+ * (all zero with classes off), fewest quanta consumed, cached rank
+ * score, arrival, id — a strict total order, so the incremental skip
+ * lists and the recompute std::sort yield the same sequence. Policies
+ * freeze levels instead of bringing their own comparator: FCFS and
+ * SRPT run with quantum 0, so quanta stay 0; unkeyed policies (FCFS,
+ * RR, PASCAL) keep score 0.
  */
-struct ResidentEvictOrder
+struct SchedOrder
 {
     bool
     operator()(const workload::Request* a,
                const workload::Request* b) const
     {
-        if (a->schedQueueTag != b->schedQueueTag)
-            return a->schedQueueTag < b->schedQueueTag;
         if (a->schedClassRank != b->schedClassRank)
             return a->schedClassRank < b->schedClassRank;
         if (a->quantaConsumed != b->quantaConsumed)
@@ -102,6 +99,25 @@ struct ResidentEvictOrder
         if (a->spec().arrival != b->spec().arrival)
             return a->spec().arrival < b->spec().arrival;
         return a->id() < b->id();
+    }
+};
+
+/**
+ * Priority order of GPU residents across both queues: the queue tag
+ * ranks the high queue above the low queue, then SchedOrder. It is the
+ * greedy walk's order, used to restore walk order over the residents
+ * an early-exited walk never visited (before evicting from the back)
+ * and to merge re-keyed members into a repaired plan.
+ */
+struct ResidentEvictOrder
+{
+    bool
+    operator()(const workload::Request* a,
+               const workload::Request* b) const
+    {
+        if (a->schedQueueTag != b->schedQueueTag)
+            return a->schedQueueTag < b->schedQueueTag;
+        return SchedOrder{}(a, b);
     }
 };
 
@@ -170,7 +186,7 @@ const char* const* planDeclineNames();
 /** Number of entries in planDeclineNames(). */
 std::size_t numPlanDeclineNames();
 
-/** Interface + shared mechanics of intra-instance scheduling. */
+/** The shared planner; policies override the hooks that differ. */
 class IntraScheduler
 {
   public:
@@ -248,7 +264,10 @@ class IntraScheduler
 
     /** Notification that @p req crossed the reasoning->answering
      *  boundary and stays on this instance. */
-    virtual void onPhaseTransition(workload::Request* req);
+    virtual void onPhaseTransition(workload::Request* req)
+    {
+        (void)req;
+    }
 
     /**
      * Dirty-set contract, residency leg: the engine reports every
@@ -264,8 +283,9 @@ class IntraScheduler
     /**
      * Instance notification: @p req just emitted a token (or finished
      * prefill) in the iteration being completed. Updates the
-     * maintained counters and forwards key changes to the subclass.
-     * No-op in recompute mode.
+     * maintained counters, re-keys it if its quanta, score or queue
+     * moved, and offers it to deferDecision(). No-op in recompute
+     * mode.
      */
     void noteExecuted(workload::Request* req);
 
@@ -351,83 +371,68 @@ class IntraScheduler
         }
     }
 
-    /** Policy hook: produce the plan. @p out arrives reset. */
-    virtual void planInto(const model::KvPool& pool,
-                          IterationPlan& out) = 0;
+    /**
+     * Produce the plan into @p out (arrives reset): the shared planner
+     * over the two queues, incremental or recompute. Virtual only so
+     * unit probes can drive greedySelectInto() directly.
+     */
+    virtual void planInto(const model::KvPool& pool, IterationPlan& out);
 
-    /** @name Incremental-mode subclass hooks */
+    /** @name Policy hooks */
     /** @{ */
 
-    /** @p req joined the hosted set (insert it into your queues and
-     *  seed its cached ordering key). */
-    virtual void onHostedAdded(workload::Request* req) { (void)req; }
-
-    /** @p req left the hosted set (erase it from your queues). */
-    virtual void onHostedRemoved(workload::Request* req) { (void)req; }
-
-    /**
-     * @p req ran in the just-completed iteration: its generated-token
-     * count (hence KV) advanced, and possibly its quantum or phase.
-     * Mark it dirty in your queues if its ordering key changed.
-     */
-    virtual void onRequestExecuted(workload::Request* req,
-                                   bool quanta_changed)
+    /** True if @p req belongs in the high queue (PASCAL: reasoning and
+     *  not demoted). Single-queue policies leave everyone low. */
+    virtual bool isHigh(const workload::Request* req) const
     {
         (void)req;
-        (void)quanta_changed;
+        return false;
     }
 
-    /**
-     * A linked member's materiality flipped in place (a
-     * prefill/prewarm allocation — @p delta is +1, or -1
-     * defensively): forward to the owning queue's noteMaterialized()
-     * so its material/waiting sublists stay exact.
-     */
-    virtual void
-    onMaterialChanged(workload::Request* req, int delta)
-    {
-        (void)req;
-        (void)delta;
-    }
+    /** True if the walk stops at the first candidate that does not
+     *  fit (FCFS) instead of skipping it. */
+    virtual bool strictOrder() const { return false; }
 
-    /** True if ordering keys come from the predictor, so a predictor
-     *  version bump re-keys every request. */
+    /** True if the high queue is charged against the answering
+     *  reserve (SchedLimits::answeringReserveFraction) as well as the
+     *  global budget. */
+    virtual bool capsHighQueue() const { return false; }
+
+    /** True if the score level is the predictor's rank score, so a
+     *  predictor version bump re-keys every request. */
     virtual bool keysUsePredictions() const { return false; }
 
-    /** Subclasses call this whenever queue contents or keys changed
-     *  outside buildPlan (blocks verbatim reuse until the next
-     *  buildPlan). */
-    void noteStateChanged() { stateChanged = true; }
+    /** True if planning without a wired predictor is an error. */
+    virtual bool requiresPredictor() const { return false; }
 
     /**
-     * Subclasses call this whenever a hosted request's
-     * ResidentEvictOrder key moved (quantum consumption, queue-tag
-     * transfer, demotion, predictor re-key) — always in addition to
-     * marking their own queues dirty. Keeps the maintained
-     * eviction-order structure exact and journals the member for the
-     * plan-repair splice/merge when a repairable lineage is active.
-     * No-op for non-material members (their keys are re-read at
-     * admission) and in recompute mode.
+     * @p req, a high-queue member, joined, ran, or was re-keyed by a
+     * predictor move, so its KV or prediction may have changed. A
+     * policy with plan-time decisions about its high queue (PASCAL's
+     * demotion) queues it for the next applyDeferredDecisions().
+     * Incremental mode only.
      */
-    void noteKeyChanged(workload::Request* req);
+    virtual void deferDecision(workload::Request* req) { (void)req; }
 
     /**
-     * Plan-boundary hook run by patchPlan() before it reuses or
-     * patches: apply any decisions recompute mode takes at plan time
-     * (PASCAL's deferred demotions), at the same point recompute mode
-     * does. Must be idempotent and journal its own key changes via
-     * noteKeyChanged(). Return true if any decision fired: verbatim
-     * reuse is then off and the boundary falls to the repair.
+     * Apply the decisions a policy takes at plan time (PASCAL's
+     * demotions), at the start of every plan and, in incremental mode,
+     * before patchPlan() reuses or patches. Must be idempotent and
+     * report its key changes via rekey(). Return true if any decision
+     * fired: verbatim reuse is then off and the boundary falls to the
+     * repair.
      */
     virtual bool applyDeferredDecisions() { return false; }
 
-    /** Recompute @p req's contribution to the maintained monitor
-     *  counters from its live state. */
-    void syncCounters(workload::Request* req);
+    /** @} */
 
-    /** Predictor version() changed since the last buildPlan (only
-     *  meaningful when keysUsePredictions()). */
-    bool predictorMoved() const;
+    /**
+     * A policy moved @p req's quanta or queue membership outside an
+     * execution (demotion, phase-transition quantum reset): re-sync
+     * the monitor counters and re-place it in its queue. No-op in
+     * recompute mode.
+     */
+    void rekey(workload::Request* req);
 
     /** True if @p req is currently hosted by *this* scheduler (the
      *  intrusive fields alone cannot tell schedulers apart). */
@@ -438,7 +443,75 @@ class IntraScheduler
                requests[req->schedHostedPos] == req;
     }
 
-    /** @} */
+    /** Single-order convenience over greedySelectRanges: the first
+     *  @p high_prefix_len entries of @p order form the capped high
+     *  segment (0 disables the cap). */
+    void greedySelectInto(const std::vector<workload::Request*>& order,
+                          const model::KvPool& pool, bool stop_at_unfit,
+                          IterationPlan& out,
+                          std::size_t high_prefix_len = 0,
+                          TokenCount high_budget_cap = 0);
+
+    std::vector<workload::Request*> requests;
+    SchedLimits limits;
+    const predict::LengthPredictor* lengthPredictor = nullptr;
+
+  private:
+    static constexpr std::uint8_t kHighTag = 1;
+    static constexpr std::uint8_t kLowTag = 2;
+
+    /** Tag of the queue @p req belongs in. */
+    std::uint8_t
+    queueTagFor(const workload::Request* req) const
+    {
+        return isHigh(req) ? kHighTag : kLowTag;
+    }
+
+    /** The queue stamped with @p tag (panics on 0: not queued). */
+    OrderedQueue<SchedOrder>& queueByTag(std::uint8_t tag);
+
+    /** Re-place @p req in the queue tagged @p tag (a transfer, or a
+     *  dirty mark when it is already there) and journal the key move. */
+    void requeue(workload::Request* req, std::uint8_t tag);
+
+    /** The predictor's rank score for @p req (0 without one). */
+    double
+    rankScore(const workload::Request* req) const
+    {
+        return lengthPredictor ? lengthPredictor->rankScore(*req) : 0.0;
+    }
+
+    /** Incremental plan: re-key on a predictor move, apply deferred
+     *  decisions, repair both queues, walk them in place. */
+    void incrementalPlan(const model::KvPool& pool, IterationPlan& out);
+
+    /** Recompute reference: partition, rescore, std::sort, walk. */
+    void recomputePlan(const model::KvPool& pool, IterationPlan& out);
+
+    /** The high queue's KV cap under the answering reserve. */
+    TokenCount highBudgetCap(const model::KvPool& pool) const;
+
+    /** Queue contents or keys changed outside buildPlan (blocks
+     *  verbatim reuse until the next buildPlan). */
+    void noteStateChanged() { stateChanged = true; }
+
+    /**
+     * A hosted request's ResidentEvictOrder key moved (quantum
+     * consumption, queue transfer, demotion, predictor re-key). Keeps
+     * the maintained eviction-order structure exact and journals the
+     * member for the plan-repair splice/merge when a repairable
+     * lineage is active. No-op for non-material members (their keys
+     * are re-read at admission) and in recompute mode.
+     */
+    void noteKeyChanged(workload::Request* req);
+
+    /** Recompute @p req's contribution to the maintained monitor
+     *  counters from its live state. */
+    void syncCounters(workload::Request* req);
+
+    /** Predictor version() changed since the last buildPlan (only
+     *  meaningful when keysUsePredictions()). */
+    bool predictorMoved() const;
 
     /**
      * Shared greedy selection over two priority ranges (the capped
@@ -450,9 +523,9 @@ class IntraScheduler
      * the leftover budget allows and evicted (swapOut) otherwise,
      * which preempts the lowest-priority requests first.
      *
-     * Policies with skip semantics (RR, PASCAL) pass
-     * stop_at_unfit = false; strict-order policies stop the walk at
-     * the first candidate that does not fit.
+     * Skip-semantics policies (RR, SRPT, PASCAL) walk on past a
+     * candidate that does not fit; strictOrder() policies (FCFS) pass
+     * stop_at_unfit and stop the walk there.
      *
      * Early exit: once nothing further can be admitted (the walk
      * stopped, the batch is full, or the leftover budget is below one
@@ -486,7 +559,7 @@ class IntraScheduler
             // Link any pending eviction-order members now: every key
             // change of this boundary (demotion, predictor re-key,
             // quantum rollover) has already been marked dirty by the
-            // planInto prologue, so the settle pass below reads a
+            // incremental plan's prologue, so the settle pass below reads a
             // fully ordered resident structure — no per-build
             // re-sort.
             evictOrder.repair();
@@ -700,49 +773,6 @@ class IntraScheduler
         finishGreedySelect(pool, out, budget);
     }
 
-    /** Single-order convenience over greedySelectRanges: the first
-     *  @p high_prefix_len entries of @p order form the capped high
-     *  segment (0 disables the cap). */
-    void greedySelectInto(const std::vector<workload::Request*>& order,
-                          const model::KvPool& pool, bool stop_at_unfit,
-                          IterationPlan& out,
-                          std::size_t high_prefix_len = 0,
-                          TokenCount high_budget_cap = 0);
-
-    /** Legacy convenience (unit probes): greedySelectInto on a fresh
-     *  plan. */
-    IterationPlan
-    greedySelect(const std::vector<workload::Request*>& order,
-                 const model::KvPool& pool, bool stop_at_unfit,
-                 std::size_t high_prefix_len = 0,
-                 TokenCount high_budget_cap = 0)
-    {
-        IterationPlan out;
-        greedySelectInto(order, pool, stop_at_unfit, out,
-                         high_prefix_len, high_budget_cap);
-        return out;
-    }
-
-    /** Fill @p plan's predictedRemainingTokens from the wired
-     *  predictor (no-op without one). */
-    void annotatePrediction(IterationPlan& plan) const;
-
-    std::vector<workload::Request*> requests;
-
-    /** Insertion-ordered intrusive hosted list (see hostedHead()). */
-    workload::Request* hostedFirst = nullptr;
-    workload::Request* hostedLast = nullptr;
-
-    SchedLimits limits;
-    const predict::LengthPredictor* lengthPredictor = nullptr;
-
-    /** Reusable order buffer for planInto implementations. */
-    std::vector<workload::Request*> orderScratch;
-
-    bool incremental = false;
-    InstanceId instanceId = kNoInstance;
-
-  private:
     /**
      * Shared tail of the greedy walk: keep unselected residents while
      * @p leftover_budget covers them and evict the rest. The record
@@ -769,6 +799,13 @@ class IntraScheduler
     {
         return lengthPredictor ? lengthPredictor->version() : 0;
     }
+
+    /** Insertion-ordered intrusive hosted list (see hostedHead()). */
+    workload::Request* hostedFirst = nullptr;
+    workload::Request* hostedLast = nullptr;
+
+    bool incremental = false;
+    InstanceId instanceId = kNoInstance;
 
     /** Maintained monitor counters (incremental mode). */
     int reasoningCount = 0;
@@ -927,6 +964,17 @@ class IntraScheduler
      */
     std::uint64_t planAge = 0;
     /** @} */
+
+    /** The policy queues, tagged kHighTag / kLowTag (incremental mode
+     *  only; recompute mode sorts the scratch partitions instead). */
+    OrderedQueue<SchedOrder> highQueue{kHighTag};
+    OrderedQueue<SchedOrder> lowQueue{kLowTag};
+
+    /** Recompute-mode scratch: the two partitions and their
+     *  concatenation (capacity reused across plans). */
+    std::vector<workload::Request*> highScratch;
+    std::vector<workload::Request*> lowScratch;
+    std::vector<workload::Request*> orderScratch;
 };
 
 } // namespace core

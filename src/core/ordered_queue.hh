@@ -84,8 +84,8 @@ namespace pascal
 namespace core
 {
 
-/** Default intrusive-field policy: the per-policy scheduler queues
- *  (high/low/ready), which own schedQueueTag. */
+/** Default intrusive-field policy: the scheduler's high and low
+ *  queues, which own schedQueueTag. */
 struct SchedQueueHooks
 {
     static void*& node(workload::Request* r) { return r->schedNode; }
@@ -366,9 +366,6 @@ class OrderedQueue
 
     /** Arena compactions performed so far (diagnostic). */
     std::uint64_t numCompactions() const { return compactions; }
-
-    /** Nodes recycled since the last compaction (diagnostic). */
-    std::size_t recycledSinceCompaction() const { return recycleChurn; }
 
   private:
     /** Deterministic tower height: a pure bit mix of the request id

@@ -1,7 +1,5 @@
 #include "src/core/pascal_scheduler.hh"
 
-#include <algorithm>
-
 #include "src/common/log.hh"
 
 namespace pascal
@@ -17,49 +15,9 @@ PascalScheduler::PascalScheduler(SchedLimits limits)
 }
 
 bool
-PascalScheduler::isHighPriority(const workload::Request* req)
-{
-    return req->phase() == workload::Phase::Reasoning && !req->demoted;
-}
-
-bool
 PascalScheduler::shouldDemote(const workload::Request* req) const
 {
     return req->kvTokens() > limits.demoteThresholdTokens;
-}
-
-double
-PascalScheduler::queueKey(const workload::Request*) const
-{
-    return 0.0; // Pure round robin: quantaConsumed then arrival.
-}
-
-OrderedQueue<PascalQueueOrder>&
-PascalScheduler::queueOf(const workload::Request* r)
-{
-    switch (r->schedQueueTag) {
-      case 1:
-        return highQueue;
-      case 2:
-        return lowQueue;
-      default:
-        panic("PascalScheduler: request " + std::to_string(r->id()) +
-              " not in any queue");
-    }
-}
-
-void
-PascalScheduler::applyDemotion()
-{
-    for (auto* r : requests) {
-        if (!r->demoted && r->phase() == workload::Phase::Reasoning &&
-            shouldDemote(r)) {
-            // The request now competes as a low-priority request; its
-            // quantum restarts in the new queue.
-            r->demoted = true;
-            r->resetQuantum();
-        }
-    }
 }
 
 void
@@ -67,216 +25,54 @@ PascalScheduler::demote(workload::Request* req)
 {
     req->demoted = true;
     req->resetQuantum();
-    req->schedCachedQuanta = req->quantaConsumed;
-    syncCounters(req);
-    highQueue.erase(req);
-    lowQueue.insert(req);
-    // After the transfer, so the eviction-order relink reads the
-    // settled low-queue tag.
-    noteKeyChanged(req);
-    noteStateChanged();
+    rekey(req); // Moves it to the low queue.
+}
+
+void
+PascalScheduler::deferDecision(workload::Request* req)
+{
+    if (!req->schedDemotionPending && demotionPossible(req)) {
+        req->schedDemotionPending = true;
+        demotionCandidates.push_back(req);
+    }
 }
 
 bool
 PascalScheduler::applyDeferredDecisions()
 {
     bool any = false;
-    for (auto* r : demotionCandidates) {
-        if (!isHosted(r)) {
-            // Migrated away since being flagged; the pending flag (if
-            // set) now belongs to its new host's candidate list.
-            continue;
-        }
-        if (!r->schedDemotionPending)
-            continue; // Superseded (removed+readded, or a duplicate).
-        r->schedDemotionPending = false;
-        if (r->schedQueueTag == 1 && !r->demoted &&
-            r->phase() == workload::Phase::Reasoning &&
-            shouldDemote(r)) {
+    auto check = [&](workload::Request* r) {
+        if (isHigh(r) && shouldDemote(r)) {
             demote(r);
             any = true;
         }
+    };
+    if (!incrementalEnabled()) {
+        for (auto* r : requests)
+            check(r);
+        return any;
+    }
+    for (auto* r : demotionCandidates) {
+        // Migrated away since being flagged (the pending flag, if set,
+        // now belongs to its new host's list), or superseded by a
+        // remove+re-add or a duplicate entry.
+        if (!isHosted(r) || !r->schedDemotionPending)
+            continue;
+        r->schedDemotionPending = false;
+        check(r);
     }
     demotionCandidates.clear();
     return any;
 }
 
 void
-PascalScheduler::onMaterialChanged(workload::Request* req, int delta)
-{
-    (void)delta;
-    queueOf(req).noteMaterialized(req);
-}
-
-void
-PascalScheduler::onHostedAdded(workload::Request* req)
-{
-    if (usesQueueKeys())
-        req->schedScore = queueKey(req);
-    if (isHighPriority(req)) {
-        highQueue.insert(req);
-        // A request arriving with a fat KV (or inside the speculative
-        // lookahead window) may demote at the very next plan boundary,
-        // just as recompute mode's full applyDemotion scan would find
-        // it.
-        if (demotionPossible(req)) {
-            req->schedDemotionPending = true;
-            demotionCandidates.push_back(req);
-        }
-    } else {
-        lowQueue.insert(req);
-    }
-}
-
-void
-PascalScheduler::onHostedRemoved(workload::Request* req)
-{
-    queueOf(req).erase(req);
-}
-
-void
-PascalScheduler::onRequestExecuted(workload::Request* req,
-                                   bool quanta_changed)
-{
-    bool high = isHighPriority(req);
-    if (req->schedQueueTag == 1 && !high) {
-        // The </think> token (or a completion) just moved the request
-        // out of the high queue.
-        if (usesQueueKeys())
-            req->schedScore = queueKey(req);
-        highQueue.erase(req);
-        lowQueue.insert(req);
-        noteKeyChanged(req); // After the transfer: tag settled at 2.
-        noteStateChanged();
-    } else if (quanta_changed || usesQueueKeys()) {
-        if (usesQueueKeys())
-            req->schedScore = queueKey(req);
-        queueOf(req).markDirty(req);
-        noteKeyChanged(req);
-        noteStateChanged();
-    }
-    if (high && !req->schedDemotionPending && demotionPossible(req)) {
-        // Its KV grew into reach of the demotion rule; re-check at
-        // the next plan boundary.
-        req->schedDemotionPending = true;
-        demotionCandidates.push_back(req);
-    }
-}
-
-void
-PascalScheduler::sortQueue(std::vector<workload::Request*>& queue) const
-{
-    if (usesQueueKeys()) {
-        // Precompute keys so predictor-backed variants pay one
-        // prediction per request, not one per comparison. The cached
-        // score is the same field the incremental queues order by.
-        for (auto* r : queue)
-            r->schedScore = queueKey(r);
-    }
-    std::sort(queue.begin(), queue.end(), PascalQueueOrder{});
-}
-
-void
-PascalScheduler::planInto(const model::KvPool& pool, IterationPlan& out)
-{
-    if (incrementalEnabled())
-        incrementalPlan(pool, out);
-    else
-        recomputePlan(pool, out);
-}
-
-void
-PascalScheduler::recomputePlan(const model::KvPool& pool,
-                               IterationPlan& out)
-{
-    applyDemotion();
-
-    // High-priority (reasoning) requests first, each queue internally
-    // round-robin ordered. The greedy walk then gives reasoning
-    // requests preferential KV allocation and evicts answering
-    // requests first when memory runs short.
-    highScratch.clear();
-    lowScratch.clear();
-    for (auto* r : requests) {
-        if (!schedulable(r))
-            continue;
-        (isHighPriority(r) ? highScratch : lowScratch).push_back(r);
-    }
-
-    sortQueue(highScratch);
-    sortQueue(lowScratch);
-
-    orderScratch.clear();
-    orderScratch.insert(orderScratch.end(), highScratch.begin(),
-                        highScratch.end());
-    orderScratch.insert(orderScratch.end(), lowScratch.begin(),
-                        lowScratch.end());
-
-    // Optional answering reserve: cap how much KV the high queue may
-    // claim so the low queue is never fully squeezed out.
-    TokenCount high_cap = static_cast<TokenCount>(
-        static_cast<double>(pool.gpuCapacity()) *
-        (1.0 - limits.answeringReserveFraction));
-    std::size_t prefix = limits.answeringReserveFraction > 0.0
-                             ? highScratch.size()
-                             : 0;
-
-    greedySelectInto(orderScratch, pool, /*stop_at_unfit=*/false, out,
-                     prefix, high_cap);
-    annotatePrediction(out);
-}
-
-void
-PascalScheduler::incrementalPlan(const model::KvPool& pool,
-                                 IterationPlan& out)
-{
-    if (predictorMoved()) {
-        // The predictor learned: every cached score is suspect. Re-key
-        // and re-sort everything, and re-check every high-queue
-        // resident against the (possibly moved) demotion rule.
-        for (auto* r : requests) {
-            r->schedScore = queueKey(r);
-            queueOf(r).markDirty(r);
-            noteKeyChanged(r);
-            if (isHighPriority(r) && !r->schedDemotionPending &&
-                demotionPossible(r)) {
-                r->schedDemotionPending = true;
-                demotionCandidates.push_back(r);
-            }
-        }
-        noteStateChanged();
-    }
-    applyDeferredDecisions();
-    highQueue.repair();
-    lowQueue.repair();
-
-    TokenCount high_cap = static_cast<TokenCount>(
-        static_cast<double>(pool.gpuCapacity()) *
-        (1.0 - limits.answeringReserveFraction));
-
-    // The skip lists are walked in place — no scratch concatenation
-    // pass; the high (reasoning) queue outranks the low queue exactly
-    // as the recompute sort's concatenated order does.
-    greedySelectRanges(highQueue.begin(), highQueue.end(),
-                       lowQueue.begin(), lowQueue.end(),
-                       limits.answeringReserveFraction > 0.0, high_cap,
-                       pool, /*stop_at_unfit=*/false, out);
-    annotatePrediction(out);
-}
-
-void
 PascalScheduler::onPhaseTransition(workload::Request* req)
 {
-    req->resetQuantum();
-    if (!incrementalEnabled())
-        return;
-    req->schedCachedQuanta = req->quantaConsumed;
-    syncCounters(req); // The quantum reset makes it "fresh" again.
     // noteExecuted already moved it into the low queue when the
-    // transition token was emitted; the reset re-keys it there.
-    queueOf(req).markDirty(req);
-    noteKeyChanged(req);
-    noteStateChanged();
+    // transition token was emitted; the reset re-keys it there and
+    // makes it "fresh" again for the a_i counter.
+    req->resetQuantum();
+    rekey(req);
 }
 
 } // namespace core

@@ -15,10 +15,13 @@
  * (paper: 5000 tokens) is demoted to the low-priority queue so one
  * monster request cannot starve the answering phase.
  *
- * In incremental mode both queues are OrderedQueues repaired only for
- * requests whose (quantaConsumed, score) key or phase/demotion
- * membership changed, and the demotion rule is re-checked only for
- * requests whose KV (or prediction) moved since the last plan.
+ * PASCAL is the shared planner with the high queue switched on:
+ * isHigh() routes reasoning requests there, both queues share
+ * SchedOrder (score 0 here; PASCAL-Spec keys it by prediction), and
+ * the policy adds only its demotion rule, the phase-transition quantum
+ * reset and the optional answering reserve. In incremental mode the
+ * demotion rule is re-checked only for requests whose KV (or
+ * prediction) moved since the last plan.
  */
 
 #ifndef PASCAL_CORE_PASCAL_SCHEDULER_HH
@@ -28,7 +31,6 @@
 #include <vector>
 
 #include "src/core/intra_scheduler.hh"
-#include "src/core/ordered_queue.hh"
 
 namespace pascal
 {
@@ -36,39 +38,11 @@ namespace core
 {
 
 /**
- * Within-queue strict total order shared by the reactive and
- * speculative PASCAL variants (and by both the incremental repair and
- * the recompute-mode full sort, so the two modes cannot diverge):
- * SLO-class rank first (all zero with classes off, so the level is
- * inert), then fewest quanta consumed, then cached rank score (always
- * 0 for the reactive policy, making the level a no-op), then arrival,
- * then id.
- */
-struct PascalQueueOrder
-{
-    bool
-    operator()(const workload::Request* a,
-               const workload::Request* b) const
-    {
-        if (a->schedClassRank != b->schedClassRank)
-            return a->schedClassRank < b->schedClassRank;
-        if (a->quantaConsumed != b->quantaConsumed)
-            return a->quantaConsumed < b->quantaConsumed;
-        if (a->schedScore != b->schedScore)
-            return a->schedScore < b->schedScore;
-        if (a->spec().arrival != b->spec().arrival)
-            return a->spec().arrival < b->spec().arrival;
-        return a->id() < b->id();
-    }
-};
-
-/**
  * Phase-aware two-queue scheduler.
  *
- * The demotion rule and the within-queue priority are virtual hooks so
- * speculative variants (PascalSpecScheduler) can demote on *predicted*
- * KV growth and break round-robin ties by predicted remaining length
- * without duplicating the queue mechanics.
+ * The demotion rule is a virtual hook so speculative variants
+ * (PascalSpecScheduler) can demote on *predicted* KV growth without
+ * duplicating the queue mechanics.
  */
 class PascalScheduler : public IntraScheduler
 {
@@ -82,31 +56,33 @@ class PascalScheduler : public IntraScheduler
     void onPhaseTransition(workload::Request* req) override;
 
   protected:
-    void planInto(const model::KvPool& pool,
-                  IterationPlan& out) override;
+    /** Reasoning requests that are not demoted. */
+    bool
+    isHigh(const workload::Request* req) const final
+    {
+        return req->phase() == workload::Phase::Reasoning &&
+               !req->demoted;
+    }
 
-    /** @name Incremental-mode hooks */
-    /** @{ */
-    void onHostedAdded(workload::Request* req) override;
-    void onHostedRemoved(workload::Request* req) override;
-    void onRequestExecuted(workload::Request* req,
-                           bool quanta_changed) override;
+    /** The answering reserve caps what the high queue may claim, so
+     *  the low queue is never fully squeezed out. */
+    bool
+    capsHighQueue() const override
+    {
+        return limits.answeringReserveFraction > 0.0;
+    }
+
+    /** Queue the high-queue member @p req for a demotion re-check if
+     *  it is in reach of the rule (deduped via schedDemotionPending). */
+    void deferDecision(workload::Request* req) override;
+
     /**
-     * Incremental mode: re-check the demotion rule for the pending
-     * candidates only (requests whose KV or prediction moved), at
-     * every plan boundary, so the fast path demotes exactly when
-     * recompute mode's plan-time applyDemotion scan would. Demotions
-     * are journaled as re-keys.
+     * Demote every candidate the rule now fires for: the pending
+     * candidates in incremental mode, every hosted request in
+     * recompute mode, so both modes demote at the same boundary.
      * @return true if any request was demoted.
      */
     bool applyDeferredDecisions() override;
-    void onMaterialChanged(workload::Request* req,
-                           int delta) override;
-    bool keysUsePredictions() const override
-    {
-        return usesQueueKeys();
-    }
-    /** @} */
 
     /**
      * Demotion rule for a not-yet-demoted reasoning request. The paper
@@ -114,19 +90,6 @@ class PascalScheduler : public IntraScheduler
      * variants may fire earlier.
      */
     virtual bool shouldDemote(const workload::Request* req) const;
-
-    /**
-     * Within-queue priority key consulted after quantaConsumed and
-     * before arrival/id (ascending = served first). The paper's pure
-     * round-robin uses a constant; speculative variants return a
-     * predicted-remaining-length score. Only called when
-     * usesQueueKeys() is true.
-     */
-    virtual double queueKey(const workload::Request* req) const;
-
-    /** Whether queueKey() varies per request. False keeps the
-     *  reactive policy's score level inert. */
-    virtual bool usesQueueKeys() const { return false; }
 
     /**
      * Cheap necessary condition for shouldDemote(): only requests
@@ -144,40 +107,12 @@ class PascalScheduler : public IntraScheduler
     }
 
   private:
-    /** True if @p req belongs to the high-priority queue. */
-    static bool isHighPriority(const workload::Request* req);
-
-    /** Recompute-mode path: rebuild, sort, select (the reference
-     *  implementation the incremental path must match bit-for-bit). */
-    void recomputePlan(const model::KvPool& pool, IterationPlan& out);
-
-    /** Incremental path: process demotions, repair queues, select. */
-    void incrementalPlan(const model::KvPool& pool, IterationPlan& out);
-
-    /** Recompute mode: apply the demotion rule to every hosted
-     *  reasoning request. */
-    void applyDemotion();
-
-    /** Demote @p req into the low queue (flag, quantum, queues). */
+    /** Demote @p req into the low queue; its quantum restarts there. */
     void demote(workload::Request* req);
-
-    /** Sort @p queue by (quantaConsumed, key, arrival, id), caching
-     *  queueKey() into schedScore first when keys are in use. */
-    void sortQueue(std::vector<workload::Request*>& queue) const;
-
-    /** Queue of @p req per its tag, for incremental maintenance. */
-    OrderedQueue<PascalQueueOrder>& queueOf(const workload::Request* r);
-
-    OrderedQueue<PascalQueueOrder> highQueue{1};
-    OrderedQueue<PascalQueueOrder> lowQueue{2};
 
     /** Requests whose demotion rule must be re-checked at the next
      *  plan boundary (deduped via schedDemotionPending). */
     std::vector<workload::Request*> demotionCandidates;
-
-    /** Recompute-mode scratch partitions (capacity reused). */
-    std::vector<workload::Request*> highScratch;
-    std::vector<workload::Request*> lowScratch;
 };
 
 } // namespace core

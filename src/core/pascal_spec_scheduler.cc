@@ -37,13 +37,5 @@ PascalSpecScheduler::shouldDemote(const workload::Request* req) const
            static_cast<double>(limits.demoteThresholdTokens);
 }
 
-double
-PascalSpecScheduler::queueKey(const workload::Request* req) const
-{
-    if (lengthPredictor == nullptr)
-        return 0.0;
-    return lengthPredictor->rankScore(*req);
-}
-
 } // namespace core
 } // namespace pascal

@@ -50,12 +50,10 @@ class PascalSpecScheduler : public PascalScheduler
      *  final reasoning KV exceeds the threshold). */
     bool shouldDemote(const workload::Request* req) const override;
 
-    /** Predicted remaining work (rank score); 0 without a predictor,
-     *  which degrades to the paper's arrival-order round robin. */
-    double queueKey(const workload::Request* req) const override;
-
-    /** Keyed only when a predictor is actually wired. */
-    bool usesQueueKeys() const override
+    /** Within-queue ties on quanta break by predicted remaining work
+     *  (the rank score) when a predictor is wired; without one the
+     *  order degrades to the paper's arrival-order round robin. */
+    bool keysUsePredictions() const override
     {
         return lengthPredictor != nullptr;
     }

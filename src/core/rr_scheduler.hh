@@ -10,9 +10,11 @@
  * phase-unaware: reasoning and answering tokens count against the same
  * quantum.
  *
- * The (quantaConsumed, arrival, id) key only moves on a quantum
- * rollover — once every `quantum` emitted tokens per request — so in
- * incremental mode the queue repair touches at most the handful of
+ * RR is the shared planner unchanged: one queue ordered by
+ * (class rank, quanta, arrival, id), score kept at 0, candidates that
+ * do not fit skipped rather than blocking the walk. The key only moves
+ * on a quantum rollover — once every `quantum` emitted tokens per
+ * request — so the incremental repair touches at most the handful of
  * requests that rolled over since the last plan.
  */
 
@@ -22,72 +24,24 @@
 #include <string>
 
 #include "src/core/intra_scheduler.hh"
-#include "src/core/ordered_queue.hh"
 
 namespace pascal
 {
 namespace core
 {
 
-/** Classic RR priority: fewest quanta, then arrival order, below the
- *  SLO-class rank (inert all-zero level with classes off). */
-struct RrOrder
-{
-    bool
-    operator()(const workload::Request* a,
-               const workload::Request* b) const
-    {
-        if (a->schedClassRank != b->schedClassRank)
-            return a->schedClassRank < b->schedClassRank;
-        if (a->quantaConsumed != b->quantaConsumed)
-            return a->quantaConsumed < b->quantaConsumed;
-        if (a->spec().arrival != b->spec().arrival)
-            return a->spec().arrival < b->spec().arrival;
-        return a->id() < b->id();
-    }
-};
-
 /** Token-quantum round-robin across all hosted requests. */
 class RrScheduler : public IntraScheduler
 {
   public:
-    explicit RrScheduler(SchedLimits limits);
+    /** @throws FatalError unless the token quantum is positive. */
+    explicit RrScheduler(SchedLimits limits) : IntraScheduler(limits)
+    {
+        if (this->limits.quantum <= 0)
+            fatal("RrScheduler requires a positive token quantum");
+    }
 
     std::string name() const override { return "RR"; }
-
-  protected:
-    void planInto(const model::KvPool& pool,
-                  IterationPlan& out) override;
-
-    void onHostedAdded(workload::Request* req) override
-    {
-        queue.insert(req);
-    }
-
-    void onHostedRemoved(workload::Request* req) override
-    {
-        queue.erase(req);
-    }
-
-    void
-    onMaterialChanged(workload::Request* req, int delta) override
-    {
-        (void)delta;
-        queue.noteMaterialized(req);
-    }
-
-    void onRequestExecuted(workload::Request* req,
-                           bool quanta_changed) override
-    {
-        if (quanta_changed) {
-            queue.markDirty(req);
-            noteKeyChanged(req);
-            noteStateChanged();
-        }
-    }
-
-  private:
-    OrderedQueue<RrOrder> queue{1};
 };
 
 } // namespace core

@@ -14,12 +14,14 @@
  * Like FCFS, SRPT needs no token quantum: priorities come entirely
  * from the predictions, so quantum accounting is disabled.
  *
- * Rank scores move with the request's own progress, so in incremental
- * mode every executed request is re-keyed each iteration (no verbatim
- * plan reuse), but idle requests keep their cached score: the repair
- * is O(batch log batch) instead of O(hosted log hosted), and a
- * predictor version bump (an online learner updating its state)
- * re-keys everything.
+ * SRPT is the shared planner keyed by the predictor: the score level of
+ * SchedOrder is the rank score, and every executed request is re-keyed
+ * each iteration (no verbatim plan reuse), but idle requests keep
+ * their cached score: the repair is O(batch log batch) instead of
+ * O(hosted log hosted), and a predictor version bump (an online
+ * learner updating its state) re-keys everything. Candidates that do
+ * not fit are skipped: a long request must not block the shorter ones
+ * behind it (that would re-create FCFS blocking).
  */
 
 #ifndef PASCAL_CORE_SRPT_SCHEDULER_HH
@@ -28,78 +30,32 @@
 #include <string>
 
 #include "src/core/intra_scheduler.hh"
-#include "src/core/ordered_queue.hh"
 
 namespace pascal
 {
 namespace core
 {
 
-/** Shortest cached rank score, arrival/id tie-broken, below the
- *  SLO-class rank (inert all-zero level with classes off). */
-struct SrptOrder
-{
-    bool
-    operator()(const workload::Request* a,
-               const workload::Request* b) const
-    {
-        if (a->schedClassRank != b->schedClassRank)
-            return a->schedClassRank < b->schedClassRank;
-        if (a->schedScore != b->schedScore)
-            return a->schedScore < b->schedScore;
-        if (a->spec().arrival != b->spec().arrival)
-            return a->spec().arrival < b->spec().arrival;
-        return a->id() < b->id();
-    }
-};
-
 /** Predicted-shortest-remaining-first scheduler. */
 class SrptScheduler : public IntraScheduler
 {
   public:
-    explicit SrptScheduler(SchedLimits limits);
+    /** Priorities are purely predicted: quantum accounting is
+     *  disabled so the quanta level of the order never moves (as in
+     *  FCFS). */
+    explicit SrptScheduler(SchedLimits limits) : IntraScheduler(limits)
+    {
+        this->limits.quantum = 0;
+    }
 
     std::string name() const override { return "SRPT"; }
 
   protected:
-    /** @throws FatalError if no predictor is wired (SRPT cannot rank
-     *  requests blind). */
-    void planInto(const model::KvPool& pool,
-                  IterationPlan& out) override;
-
-    void onHostedAdded(workload::Request* req) override
-    {
-        req->schedScore = lengthPredictor
-                              ? lengthPredictor->rankScore(*req)
-                              : 0.0;
-        queue.insert(req);
-    }
-
-    void onHostedRemoved(workload::Request* req) override
-    {
-        queue.erase(req);
-    }
-
-    void
-    onMaterialChanged(workload::Request* req, int delta) override
-    {
-        (void)delta;
-        queue.noteMaterialized(req);
-    }
-
-    void onRequestExecuted(workload::Request* req, bool) override
-    {
-        // Progress moves the predicted remaining work.
-        req->schedScore = lengthPredictor->rankScore(*req);
-        queue.markDirty(req);
-        noteKeyChanged(req);
-        noteStateChanged();
-    }
-
     bool keysUsePredictions() const override { return true; }
 
-  private:
-    OrderedQueue<SrptOrder> queue{1};
+    /** SRPT cannot rank requests blind: planning without a predictor
+     *  throws FatalError. */
+    bool requiresPredictor() const override { return true; }
 };
 
 } // namespace core

@@ -100,9 +100,6 @@ class FaultInjector
      */
     bool drawLinkFailure(RequestId req, std::uint64_t nonce) const;
 
-    /** Instance currently down (crashed or drained out)? */
-    bool isDown(InstanceId id) const { return nodes[id].down; }
-
   private:
     /** Per-instance chain state. */
     struct NodeState

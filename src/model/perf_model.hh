@@ -82,7 +82,6 @@ class PerfModel
     TokenCount
     gpuKvCapacityTokens(double reserve_fraction = 0.1) const;
 
-    const ModelConfig& modelConfig() const { return model; }
     const HardwareConfig& hardwareConfig() const { return hw; }
 
   private:

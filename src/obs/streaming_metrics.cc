@@ -182,7 +182,7 @@ P2Quantile::value() const
     return q[2];
 }
 
-MetricFamily::MetricFamily() : p2_50(0.5), p2_99(0.99) {}
+MetricFamily::MetricFamily() : p2_50(0.5) {}
 
 void
 MetricFamily::add(double x)
@@ -190,7 +190,6 @@ MetricFamily::add(double x)
     moments.add(x);
     hist.add(x);
     p2_50.add(x);
-    p2_99.add(x);
 }
 
 void

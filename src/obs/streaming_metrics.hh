@@ -140,9 +140,8 @@ class MetricFamily
     /** Histogram quantile at percentile @p p in [0, 100]. */
     double quantile(double p) const { return hist.quantile(p); }
 
-    /** The P² cross-check estimates. */
+    /** The P² cross-check estimate of the median. */
     double p2Median() const { return p2_50.value(); }
-    double p2Tail() const { return p2_99.value(); }
 
     const LogHistogram& histogram() const { return hist; }
 
@@ -150,7 +149,6 @@ class MetricFamily
     stats::Summary moments;
     LogHistogram hist;
     P2Quantile p2_50;
-    P2Quantile p2_99;
 };
 
 /**
@@ -177,7 +175,6 @@ class StreamingMetrics
     const MetricFamily& answering() const { return answeringFam; }
     const MetricFamily& blocking() const { return blockingFam; }
     const MetricFamily& qoe() const { return qoeFam; }
-    const MetricFamily& kvTransfer() const { return kvFam; }
 
   private:
     MetricFamily ttftFam;

@@ -40,9 +40,6 @@ class TokenPacer
      */
     void onTokenGenerated(Time t);
 
-    /** Number of tokens generated so far. */
-    std::size_t generatedCount() const { return generateTimes.size(); }
-
     /** Release (user-digestion) time of token @p k (0-based). */
     Time releaseTime(std::size_t k) const;
 

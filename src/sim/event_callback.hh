@@ -90,14 +90,6 @@ class EventCallback
 
     explicit operator bool() const noexcept { return ops != nullptr; }
 
-    /** True if a callable of type F would be stored inline. */
-    template <typename F>
-    static constexpr bool
-    storedInline()
-    {
-        return fitsInline<std::decay_t<F>>();
-    }
-
   private:
     struct Ops
     {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <unordered_set>
 
 #include "src/common/log.hh"
@@ -76,6 +77,41 @@ Trace::toCsv(const std::string& path) const
     }
 }
 
+namespace
+{
+
+/**
+ * Parse the whole of @p field as a T (long long or double). A partial
+ * parse such as "12abc" or "1x" is rejected, naming the line and
+ * column, instead of loading as its prefix.
+ */
+template <typename T>
+T
+parseField(const std::string& field, const char* column,
+           std::size_t line_no, const std::string& path)
+{
+    constexpr bool floating = std::is_floating_point_v<T>;
+    std::size_t used = 0;
+    T value{};
+    try {
+        if constexpr (floating)
+            value = std::stod(field, &used);
+        else
+            value = std::stoll(field, &used);
+    } catch (const std::exception&) {
+        used = 0;
+    }
+    if (used == 0 || used != field.size()) {
+        fatal("Trace::fromCsv: line " + std::to_string(line_no) +
+              ", column " + column + ": '" + field +
+              "' is not a valid " + (floating ? "number" : "integer") +
+              " in '" + path + "'");
+    }
+    return value;
+}
+
+} // namespace
+
 Trace
 Trace::fromCsv(const std::string& path)
 {
@@ -91,41 +127,36 @@ Trace::fromCsv(const std::string& path)
     std::size_t line_no = 1;
     while (std::getline(in, line)) {
         ++line_no;
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back(); // CRLF files.
         if (line.empty())
             continue;
         std::istringstream ss(line);
         std::string field;
+        auto number = [&](auto zero, const char* column) {
+            // A missing column leaves the field empty, which fails.
+            std::getline(ss, field, ',');
+            return parseField<decltype(zero)>(field, column, line_no,
+                                              path);
+        };
         RequestSpec s;
-        try {
-            std::getline(ss, field, ',');
-            s.id = std::stoll(field);
-            std::getline(ss, field, ',');
-            s.arrival = std::stod(field);
-            std::getline(ss, field, ',');
-            s.promptTokens = std::stoll(field);
-            std::getline(ss, field, ',');
-            s.reasoningTokens = std::stoll(field);
-            std::getline(ss, field, ',');
-            s.answerTokens = std::stoll(field);
-            std::getline(ss, field, ',');
-            s.startInAnswering = std::stoi(field) != 0;
-            std::getline(ss, field, ',');
-            s.dataset = field;
-            // Optional trailing slo_class column; legacy 7-column
-            // traces default to Standard.
-            if (std::getline(ss, field, ',')) {
-                int cls = std::stoi(field);
-                if (cls < 0 ||
-                    cls >= static_cast<int>(kNumSloClasses)) {
-                    fatal("Trace::fromCsv: bad slo_class on line " +
-                          std::to_string(line_no) + " in '" + path +
-                          "'");
-                }
-                s.sloClass = static_cast<SloClass>(cls);
+        s.id = number(0LL, "id");
+        s.arrival = number(0.0, "arrival");
+        s.promptTokens = number(0LL, "prompt");
+        s.reasoningTokens = number(0LL, "reasoning");
+        s.answerTokens = number(0LL, "answer");
+        s.startInAnswering = number(0LL, "start_in_answering") != 0;
+        std::getline(ss, s.dataset, ',');
+        // Optional trailing slo_class column; legacy 7-column traces
+        // default to Standard.
+        if (std::getline(ss, field, ',')) {
+            long long cls =
+                parseField<long long>(field, "slo_class", line_no, path);
+            if (cls < 0 || cls >= static_cast<long long>(kNumSloClasses)) {
+                fatal("Trace::fromCsv: bad slo_class on line " +
+                      std::to_string(line_no) + " in '" + path + "'");
             }
-        } catch (const std::exception&) {
-            fatal("Trace::fromCsv: malformed line " +
-                  std::to_string(line_no) + " in '" + path + "'");
+            s.sloClass = static_cast<SloClass>(cls);
         }
         // Validate before sorting: a NaN arrival is no sort key.
         s.validate();

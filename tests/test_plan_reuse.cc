@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -176,6 +177,67 @@ TEST_F(PlanReuseInvariance, EvictionStormTailStaysByteIdentical)
         auto reference = cluster::RunContext::execute(cfg, trace);
         test::expectIdentical(fast, reference);
         EXPECT_GT(fast.totalIterations, 0u);
+    }
+}
+
+TEST_F(PlanReuseInvariance, FrozenOrderLevelsStayFrozen)
+{
+    // Every policy shares one order, (class rank, quanta, score,
+    // arrival, id), and the baselines are exact only because they
+    // freeze levels of it: FCFS and SRPT never consume quanta, even
+    // when the config asks for a 500-token quantum, and FCFS and RR
+    // never carry a score. Checked on every hosted request at every
+    // step of a run under KV pressure, in both scheduling modes.
+    auto trace = churnTrace(4242);
+    for (SchedulerType sched :
+         {SchedulerType::Fcfs, SchedulerType::Rr, SchedulerType::Srpt}) {
+        for (bool force_resort : {false, true}) {
+            SCOPED_TRACE("scheduler " +
+                         std::to_string(static_cast<int>(sched)) +
+                         (force_resort ? " recompute" : " incremental"));
+            SystemConfig cfg = constrained(sched, predictorNamed("oracle"),
+                                           PlacementType::Pascal);
+            cfg.limits.quantum = 500;
+            cfg.limits.forceResort = force_resort;
+            const bool quanta_frozen = sched != SchedulerType::Rr;
+            const bool score_frozen = sched != SchedulerType::Srpt;
+            cluster::RunContext ctx(cfg);
+            ctx.submit(trace);
+            int max_quanta = 0;
+            double max_score = 0.0;
+            std::size_t checked = 0;
+            for (Time t = 0.5; ctx.simulator().pendingEvents() > 0;
+                 t += 0.5) {
+                ctx.run(t);
+                for (const auto& inst : ctx.cluster().getInstances()) {
+                    for (const auto* r : inst->scheduler().hosted()) {
+                        max_quanta = std::max(max_quanta,
+                                              r->quantaConsumed);
+                        max_score = std::max(max_score, r->schedScore);
+                        ++checked;
+                        if (quanta_frozen) {
+                            ASSERT_EQ(r->quantaConsumed, 0);
+                        }
+                        if (score_frozen) {
+                            ASSERT_EQ(r->schedScore, 0.0);
+                        }
+                    }
+                }
+            }
+            EXPECT_EQ(ctx.result().numUnfinished, 0u);
+            EXPECT_GT(checked, 0u);
+            std::uint64_t swap_outs = 0;
+            for (const auto& inst : ctx.cluster().getInstances())
+                swap_outs += inst->numSwapOuts();
+            EXPECT_GT(swap_outs, 0u); // Under KV pressure.
+            // The unfrozen level does move, so the checks above bite.
+            if (!quanta_frozen) {
+                EXPECT_GT(max_quanta, 0);
+            }
+            if (!score_frozen) {
+                EXPECT_GT(max_score, 0.0);
+            }
+        }
     }
 }
 

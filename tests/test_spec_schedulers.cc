@@ -86,12 +86,6 @@ TEST(SrptScheduler, OrdersByPredictedRemainingWork)
     EXPECT_EQ(plan.decode[1], medium);
     EXPECT_EQ(plan.decode[2], longest);
 
-    // The plan carries the predicted backlog of its batch.
-    double expected = oracle.predictRemainingTokens(*longest) +
-                      oracle.predictRemainingTokens(*medium) +
-                      oracle.predictRemainingTokens(*shortest);
-    EXPECT_DOUBLE_EQ(plan.predictedRemainingTokens, expected);
-
     // SRPT disables quantum accounting like FCFS.
     EXPECT_EQ(sched.schedLimits().quantum, 0);
 }

@@ -155,6 +155,66 @@ TEST(Trace, FromCsvRejectsNonFiniteArrival)
     }
 }
 
+TEST(Trace, FromCsvRejectsPartialFields)
+{
+    // Every numeric field must parse whole: a prefix parse would load
+    // "12abc" as 12 and "1x" as 1. The error names line and column.
+    struct Case
+    {
+        const char* row;
+        const char* where;
+    };
+    for (const Case& c :
+         {Case{"0,0.5,12abc,100,50,0,unit", "line 3, column prompt"},
+          Case{"0,0.5,128,100,50,1x,unit",
+               "line 3, column start_in_answering"},
+          Case{"0,0.5s,128,100,50,0,unit", "line 3, column arrival"},
+          Case{"0,0.5,128,100,50,0,unit,1.5", "line 3, column slo_class"},
+          Case{"0,0.5,128,,50,0,unit", "line 3, column reasoning"}}) {
+        std::string path = testing::TempDir() + "pascal_trace_part.csv";
+        {
+            std::FILE* f = std::fopen(path.c_str(), "w");
+            ASSERT_NE(f, nullptr);
+            std::fputs("id,arrival,prompt,reasoning,answer,"
+                       "start_in_answering,dataset,slo_class\n",
+                       f);
+            std::fputs("1,0.25,128,100,50,0,unit,1\n", f);
+            std::fprintf(f, "%s\n", c.row);
+            std::fclose(f);
+        }
+        try {
+            Trace::fromCsv(path);
+            ADD_FAILURE() << "accepted row " << c.row;
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(c.where),
+                      std::string::npos)
+                << e.what();
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST(Trace, FromCsvAcceptsCrlfLines)
+{
+    // Whole-field parsing must not turn a CRLF line ending into a
+    // malformed trailing column.
+    std::string path = testing::TempDir() + "pascal_trace_crlf.csv";
+    {
+        std::FILE* f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs("id,arrival,prompt,reasoning,answer,"
+                   "start_in_answering,dataset,slo_class\r\n",
+                   f);
+        std::fputs("0,0.5,128,100,50,0,unit,2\r\n", f);
+        std::fclose(f);
+    }
+    Trace back = Trace::fromCsv(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back.requests[0].dataset, "unit");
+    EXPECT_EQ(back.requests[0].sloClass, workload::SloClass::Batch);
+}
+
 TEST(Trace, FromCsvMissingFileIsFatal)
 {
     EXPECT_THROW(Trace::fromCsv("/nonexistent/path.csv"), FatalError);
