@@ -6,8 +6,8 @@
  * incremental cluster view) vs the all-force recompute twin — the
  * all-ones corner of the force-mode matrix the invariance tests pin
  * (SchedLimits::forcePlanRepair + forcePerArrivalKick + forceResort
- * + forceAccrue and SystemConfig::forceViewRebuild), i.e. the seed's
- * per-boundary recompute-everything cost model.
+ * + forceAccrue + forceStep and SystemConfig::forceViewRebuild), i.e.
+ * the seed's per-boundary recompute-everything cost model.
  *
  * Where bench_scheduler_iteration measures the intra-instance
  * scheduling path in isolation, this bench runs whole simulations and
@@ -29,9 +29,11 @@
  *                      the shared-trace registry and per-run request
  *                      arenas.
  *
- * Both modes run identical workloads and must agree on a checksum
- * (iterations, finishes, migrations) — a divergence aborts the bench,
- * so the speedups can only come from doing the same work faster.
+ * Both modes run identical workloads and must agree on a checksum of
+ * every RunResult field the byte-identity tests compare (per-request
+ * rows and phase buckets, TTFT/QoE aggregates, the per-class ledger)
+ * — a divergence aborts the bench, so the speedups can only come
+ * from doing the same work faster.
  *
  * Output: human table + JSON (argv[1], default BENCH_cluster_path.json)
  * with a provenance `meta` block (bench_util.hh) and, per storm
@@ -58,6 +60,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/cluster/run_context.hh"
@@ -108,12 +111,13 @@ struct ShapeResult
 
 /** Force the cluster-path debug modes. The recompute twin is the
  *  all-ones corner of the force-mode matrix the invariance tests pin
- *  (REPAIR x KICK x VIEW x RESORT x ACCRUE): per-boundary queue
+ *  (REPAIR x KICK x VIEW x RESORT x ACCRUE x STEP): per-boundary queue
  *  re-sorts, the eager accrual walk, per-decision view rebuilds,
- *  per-arrival plan boundaries, and full greedy walks at every
- *  non-reused boundary — the seed's cost model with every
- *  incremental fast path disabled, so the pair measures the whole
- *  fast-path stack and stays byte-identical by construction. */
+ *  per-arrival plan boundaries, full greedy walks at every non-reused
+ *  boundary, and eager batch walks at every step — the seed's cost
+ *  model with every incremental fast path disabled, so the pair
+ *  measures the whole fast-path stack and stays byte-identical by
+ *  construction. */
 void
 applyMode(SystemConfig& cfg, bool recompute)
 {
@@ -122,15 +126,132 @@ applyMode(SystemConfig& cfg, bool recompute)
     cfg.forceViewRebuild = recompute;
     cfg.limits.forcePerArrivalKick = recompute;
     cfg.limits.forcePlanRepair = recompute;
+    cfg.limits.forceStep = recompute;
 }
 
+/** FNV-1a over the bit patterns of every value fed in. */
+class Digest
+{
+  public:
+    void
+    bytes(const void* p, std::size_t n)
+    {
+        const auto* b = static_cast<const unsigned char*>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 1099511628211ull;
+        }
+    }
+
+    template <typename T>
+    void
+    add(const T& v)
+    {
+        static_assert(std::is_arithmetic<T>::value || std::is_enum<T>::value,
+                      "digest scalars only");
+        bytes(&v, sizeof(v));
+    }
+
+    void
+    add(const std::string& s)
+    {
+        add(s.size());
+        bytes(s.data(), s.size());
+    }
+
+    void
+    add(const std::vector<double>& v)
+    {
+        add(v.size());
+        for (double x : v)
+            add(x);
+    }
+
+    void
+    add(const workload::PhaseBuckets& b)
+    {
+        add(b.executed);
+        add(b.blocked);
+        add(b.preempted);
+    }
+
+    std::uint64_t value() const { return h; }
+
+  private:
+    std::uint64_t h = 1469598103934665603ull;
+};
+
+/** Digest of every field tests/run_result_util.hh expectIdentical
+ *  compares, so a fast-path bug that moves a latency, a bucket or a
+ *  class ledger row (not just a count) fails the mode cross-check. */
 std::uint64_t
 resultChecksum(const cluster::RunResult& r)
 {
-    return r.totalIterations * 1000003ull +
-           r.aggregate.numFinished * 10007ull +
-           static_cast<std::uint64_t>(r.totalMigrations) * 101ull +
-           r.numUnfinished;
+    Digest d;
+    d.add(r.perRequest.size());
+    for (const auto& m : r.perRequest) {
+        d.add(m.id);
+        d.add(m.dataset);
+        d.add(m.arrival);
+        d.add(m.finished);
+        d.add(m.failed);
+        d.add(m.failReason);
+        d.add(m.sloClass);
+        d.add(m.deadlineExpired);
+        d.add(m.bestEffort);
+        for (double x : {m.ttft, m.ttfat, m.reasoningLatency,
+                         m.e2eLatency, m.answeringLatency,
+                         m.blockingLatency, m.queueingDelay, m.meanTpot,
+                         m.qoe})
+            d.add(x);
+        d.add(m.sloViolated);
+        d.add(m.migrationCount);
+        d.add(m.kvTransferLatencies);
+        d.add(m.reasoningBuckets);
+        d.add(m.answeringBuckets);
+    }
+    const auto& a = r.aggregate;
+    d.add(a.numRequests);
+    d.add(a.numFinished);
+    for (double x :
+         {a.makespan, a.throughputTokensPerSec, a.meanTtft, a.p50Ttft,
+          a.p99Ttft, a.maxTtft, a.meanQoe, a.sloViolationRate,
+          a.meanE2eLatency, a.p50E2eLatency, a.p99E2eLatency,
+          a.meanAnsweringLatency, a.p99BlockingLatency,
+          a.p99KvTransferLatency})
+        d.add(x);
+    d.add(a.totalMigrations);
+    d.add(r.peakGpuKvTokens);
+    d.add(r.kvCapacityTokens);
+    d.add(r.totalIterations);
+    d.add(r.numUnfinished);
+    d.add(r.totalMigrations);
+    d.add(r.numCrashes);
+    d.add(r.numRetries);
+    d.add(r.numShed);
+    d.add(r.numTerminalFailures);
+    d.add(r.goodputFraction);
+    for (std::size_t c = 0; c < workload::kNumSloClasses; ++c) {
+        const auto& o = r.perClass[c];
+        d.add(o.submitted);
+        d.add(o.completed);
+        d.add(o.shed);
+        d.add(o.deadlineFailed);
+        d.add(o.retryFailed);
+        d.add(o.demoted);
+        d.add(o.goodputFraction);
+        const auto& ca = r.classAggregates[c];
+        d.add(ca.numRequests);
+        d.add(ca.numFinished);
+        d.add(ca.meanTtft);
+        d.add(ca.p99Ttft);
+        d.add(ca.meanQoe);
+    }
+    d.add(r.kvTransferLatencies);
+    d.add(r.schedulerName);
+    d.add(r.placementName);
+    d.add(r.predictorName);
+    return d.value();
 }
 
 /** arrival-storm: deep backlogs on a constrained 8-instance cluster. */

@@ -14,6 +14,7 @@
 #define PASCAL_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,21 +119,55 @@ constrainedCapacityFromOracle(const workload::Trace& trace,
 }
 
 /**
+ * HEAD's commit, read from the source checkout's .git at run time (a
+ * configure-time stamp goes stale when benches are rebuilt without
+ * re-running CMake). Reads files only; "unknown" outside a checkout.
+ */
+inline std::string
+gitSha()
+{
+#ifdef PASCAL_SOURCE_DIR
+    const std::string git = std::string(PASCAL_SOURCE_DIR) + "/.git/";
+    auto readLine = [](const std::string& path) {
+        std::ifstream in(path);
+        std::string line;
+        std::getline(in, line);
+        return line;
+    };
+    std::string head = readLine(git + "HEAD");
+    if (head.rfind("ref: ", 0) != 0)
+        return head.empty() ? "unknown" : head;
+    const std::string ref = head.substr(5);
+    std::string sha = readLine(git + ref);
+    if (!sha.empty())
+        return sha;
+    std::ifstream packed(git + "packed-refs");
+    std::string line;
+    while (std::getline(packed, line)) {
+        auto space = line.find(' ');
+        if (space != std::string::npos && line.substr(space + 1) == ref)
+            return line.substr(0, space);
+    }
+#endif
+    return "unknown";
+}
+
+/**
  * Provenance block every JSON-emitting bench embeds under the "meta"
  * key, so a committed result file records which build produced it:
- * git SHA (stamped at CMake configure time; "unknown" outside a
- * checkout), compiler, the host's hardware_concurrency, and whether
- * the binary was built under PASCAL_SANITIZE. Returned as a complete
+ * git SHA (read at run time, see gitSha()), CMake build type,
+ * compiler, the host's hardware_concurrency, and whether the binary
+ * was built under PASCAL_SANITIZE. Returned as a complete
  * `"meta": {...}` fragment ready to splice into an object.
  */
 inline std::string
 jsonMeta()
 {
-    const std::string sha =
-#ifdef PASCAL_GIT_SHA
-        PASCAL_GIT_SHA;
+    const std::string build_type =
+#ifdef PASCAL_BUILD_TYPE
+        PASCAL_BUILD_TYPE;
 #else
-        "unknown";
+        "";
 #endif
     const std::string compiler =
 #if defined(__clang__)
@@ -148,7 +183,9 @@ jsonMeta()
 #else
         "none";
 #endif
-    return std::string("\"meta\": {\"git_sha\": \"") + sha +
+    return std::string("\"meta\": {\"git_sha\": \"") + gitSha() +
+           "\", \"build_type\": \"" +
+           (build_type.empty() ? "unknown" : build_type) +
            "\", \"compiler\": \"" + compiler +
            "\", \"hardware_concurrency\": " +
            std::to_string(std::thread::hardware_concurrency()) +

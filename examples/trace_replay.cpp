@@ -46,6 +46,15 @@ namespace
 using namespace pascal;
 using examples::PolicyChoice;
 
+/**
+ * Per-request rows. A metric whose event never happened (a request
+ * the run never finished, or never even started) gets an empty cell
+ * instead of the scorer's placeholder (0 latency, QoE 1), which would
+ * read as a perfect result. Timestamp-derived latencies stay 0 until
+ * their event; a real one is positive (every step takes time), except
+ * the reasoning latency of a request that starts in its answering
+ * phase, whose </think> is observed at arrival.
+ */
 void
 writeMetricsCsv(const std::string& path,
                 const cluster::RunResult& result)
@@ -55,14 +64,28 @@ writeMetricsCsv(const std::string& path,
         fatal("cannot open '" + path + "' for writing");
     out << "id,dataset,arrival,prompt,reasoning,answer,ttft,ttfat,"
            "reasoning_latency,e2e_latency,qoe,slo_violated,"
-           "migrations\n";
+           "migrations,finished\n";
+    auto cell = [&out](bool happened, double v) {
+        if (happened)
+            out << v;
+        out << ',';
+    };
     for (const auto& m : result.perRequest) {
+        const bool answered = m.finished || m.ttft > 0.0;
+        const bool reasoned = m.finished || m.reasoningTokens == 0 ||
+                              m.reasoningLatency > 0.0;
         out << m.id << ',' << m.dataset << ',' << m.arrival << ','
             << m.promptTokens << ',' << m.reasoningTokens << ','
-            << m.answerTokens << ',' << m.ttft << ',' << m.ttfat << ','
-            << m.reasoningLatency << ',' << m.e2eLatency << ','
-            << m.qoe << ',' << (m.sloViolated ? 1 : 0) << ','
-            << m.migrationCount << '\n';
+            << m.answerTokens << ',';
+        cell(answered, m.ttft);
+        cell(answered, m.ttfat);
+        cell(reasoned, m.reasoningLatency);
+        cell(m.finished, m.e2eLatency);
+        cell(m.finished, m.qoe);
+        if (m.finished)
+            out << (m.sloViolated ? 1 : 0);
+        out << ',' << m.migrationCount << ',' << (m.finished ? 1 : 0)
+            << '\n';
     }
 }
 

@@ -132,6 +132,21 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
                      [this] { return totalFullWalks(); });
     registry.counter("cluster.slo.rekeys",
                      [this] { return totalSloHeapRekeys(); });
+    // Why each non-reused boundary declined reuse (after a repair) or
+    // repair (after a full walk); the reasons sum to repairs + full
+    // walks.
+    for (std::size_t d = 0; d < core::numPlanDeclineNames(); ++d) {
+        registry.counter(
+            std::string("cluster.plan.decline.") +
+                core::planDeclineNames()[d],
+            [this, d] {
+                std::uint64_t n = 0;
+                for (const auto& inst : instances)
+                    n += inst->numPlanDeclines(
+                        static_cast<core::PlanDecline>(d));
+                return n;
+            });
+    }
     // Failure accounting: registered unconditionally (all-zero rows
     // when the fault layer is off) so dashboards and the bench JSON
     // emitters see a stable schema.

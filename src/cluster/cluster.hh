@@ -73,8 +73,20 @@ class Cluster
     /** Resolved per-instance GPU KV capacity (tokens). */
     TokenCount kvCapacityTokens() const { return kvCapacity; }
 
-    /** Score all requests against the configured SLO. */
+    /** Score all requests against the configured SLO. Call after
+     *  catchUp(): scoring reads every request's progress. */
     std::vector<qoe::RequestMetrics> collectMetrics() const;
+
+    /** Settle every instance's lazy decode stretch
+     *  (Instance::catchUp), so each hosted request reads exactly as
+     *  if every step had run eagerly. RunContext calls it at the end
+     *  of every run() chunk and before scoring. */
+    void
+    catchUp()
+    {
+        for (auto& inst : instances)
+            inst->catchUp();
+    }
 
     /** Requests that never finished (trace infeasible or horizon
      *  hit). */

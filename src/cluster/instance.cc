@@ -64,6 +64,15 @@ Instance::Instance(InstanceId id, sim::Simulator& sim,
     // Per-arrival plan boundaries: verification mode for burst
     // coalescing.
     forceKick = this->sched->schedLimits().forcePerArrivalKick;
+    forceStep = this->sched->schedLimits().forceStep;
+    declines.assign(core::numPlanDeclineNames(), 0);
+    // Size the lazy-stretch buffers up front so opening a stretch or
+    // logging a step allocates nothing mid-run (a batch never exceeds
+    // maxBatchSize; a longer stretch grows the log, which keeps its
+    // capacity).
+    lazyBatch.reserve(
+        static_cast<std::size_t>(this->sched->schedLimits().maxBatchSize));
+    stepLog.reserve(kStepLogReserve);
 }
 
 void
@@ -164,6 +173,7 @@ Instance::detach(Request* req)
     if (req->home != instanceId)
         panic("detach: request " + std::to_string(req->id()) +
               " not homed here");
+    catchUp();
     // Settle up to the detach point, then stamp the transit interval
     // as preemption (it lands in the answering phase: detach happens
     // at the observed </think> emission).
@@ -184,6 +194,7 @@ Instance::demoteBestEffort(Request* req)
     if (req->home != instanceId)
         panic("demoteBestEffort: request " + std::to_string(req->id()) +
               " not homed here");
+    catchUp();
     // Re-key through the scheduler's remove/add path: the class rank
     // is the leading comparator level in every policy's order, so the
     // queues must observe it as a key change. add() re-links material
@@ -264,7 +275,8 @@ Instance::startIteration()
     // fall back to the full walk otherwise. A repair counts as a
     // build too (it is a non-reused boundary — the coalescing gate's
     // builds < arrivals invariant must keep seeing every boundary).
-    switch (sched->patchPlan(inflight, kvPool)) {
+    const core::PlanRung rung = sched->patchPlan(inflight, kvPool);
+    switch (rung) {
       case core::PlanRung::Reuse:
         ++planReuses;
         if (trace != nullptr) {
@@ -276,6 +288,7 @@ Instance::startIteration()
       case core::PlanRung::Repair:
         ++planBuilds;
         ++planRepairs;
+        ++declines[static_cast<std::size_t>(sched->lastDecline())];
         if (trace != nullptr) {
             // The reason arg answers "why not verbatim reuse".
             trace->instant(obs::TraceCat::Plan,
@@ -286,8 +299,10 @@ Instance::startIteration()
         }
         break;
       case core::PlanRung::Walk:
+        catchUp(); // The walk reads every member's KV and keys.
         sched->buildPlan(kvPool, inflight);
         ++planBuilds;
+        ++declines[static_cast<std::size_t>(sched->lastDecline())];
         if (trace != nullptr) {
             // The reason arg answers "why not the O(delta) repair".
             trace->instant(obs::TraceCat::Plan,
@@ -308,6 +323,11 @@ Instance::startIteration()
 
     stepInFlight = true;
     Time t0 = sim.now();
+    if (rung == core::PlanRung::Reuse && startLazyStep(t0))
+        return;
+    // Every eager step (repaired, or a reuse that crosses an event)
+    // settles the lazy stretch first.
+    catchUp();
     Time swaps_done = t0;
 
     // Evictions free GPU memory; the KV rides the PCIe link to host
@@ -433,7 +453,9 @@ Instance::crash(bool preserve_cpu_kv,
     // Deferred deadline expiries die with the step: the orphans
     // re-enter the retry path, whose guards enforce expiry there.
     deadlineDeferred.clear();
-    // detach() mutates the scheduler's hosted set; walk a copy. The
+    // detach() settles any lazy stretch, applying the abandoned
+    // step's start (its wall time stays booked as executed), and
+    // mutates the scheduler's hosted set; walk a copy. The
     // hosted order is deterministic (insertion order via swap-pop
     // vector), so the orphan list — and every retry placement made
     // from it — replays byte-identically.
@@ -504,10 +526,122 @@ Instance::verifyAccrualStamps(bool prefill_iteration) const
     }
 }
 
+bool
+Instance::startLazyStep(Time t0)
+{
+    if (forceStep)
+        return false;
+    const std::size_t batch = inflight.decode.size();
+    if (lazyBatch.empty()) {
+        // Open a stretch: it may run until the first member execution
+        // that crosses an event.
+        TokenCount batch_kv = 0;
+        std::size_t pacing = 0;
+        for (const auto* r : inflight.decode) {
+            batch_kv += r->kvTokens();
+            if (r->phase() == Phase::Answering)
+                ++pacing;
+        }
+        if (!sloBumpOnly(pacing))
+            return false;
+        const TokenCount left = sched->steadySteps(inflight.decode);
+        if (left == 0)
+            return false;
+        lazyBatch.assign(inflight.decode.begin(), inflight.decode.end());
+        lazyLeft = left;
+        lazyBatchKv = batch_kv;
+        lazyPacing = pacing;
+        lazyCharged = 0;
+    } else if (lazyLeft == 0 || !sloBumpOnly(lazyPacing)) {
+        return false; // The next execution crosses an event.
+    }
+
+    --lazyLeft;
+    lazyInFlight = true;
+    lazyStart = t0;
+    const TokenCount growth = sched->lineageStepGrowth();
+    kvPool.chargeGrowth(growth);
+    lazyCharged += growth;
+    Time latency = perf.mixedStepLatency(0, static_cast<int>(batch),
+                                         lazyBatchKv);
+    latency *= perfScale;
+    lazyBatchKv += static_cast<TokenCount>(batch);
+    Time step_end = std::max(t0, t0 + latency);
+    ++iterations;
+    if (batchDist != nullptr)
+        batchDist->add(static_cast<double>(batch));
+    if (trace != nullptr) {
+        trace->complete(obs::TraceCat::Iteration,
+                        obs::TraceName::Iteration, instanceId, t0,
+                        step_end - t0, obs::TraceArg::Batch,
+                        static_cast<std::int64_t>(batch));
+    }
+    sim.at(step_end, [this, t0, gen = crashGen] {
+        if (gen == crashGen)
+            completeIteration(t0);
+    });
+    return true;
+}
+
+void
+Instance::completeLazyStep(Time step_start)
+{
+    lazyInFlight = false;
+    markViewDirty();
+    if (verifyAccrual)
+        verifyAccrualStamps(false);
+    stepLog.push_back({step_start, sim.now()});
+    decodeTokens += lazyBatch.size();
+    ++lazySteps;
+    sloAdvanced = lazyPacing;
+    sloHeapAdvance();
+    stepInFlight = false;
+    if (!deadlineDeferred.empty())
+        drainDeadlineDeferred();
+    startIteration();
+}
+
+void
+Instance::catchUp()
+{
+    if (lazyBatch.empty())
+        return;
+    const TokenCount quantum = sched->schedLimits().quantum;
+    const std::size_t n = stepLog.size();
+    const auto grown = static_cast<TokenCount>(n) + (lazyInFlight ? 1 : 0);
+    TokenCount settled = 0;
+    for (auto* r : lazyBatch) {
+        r->catchUpSteps(stepLog.data(), n, quantum);
+        if (lazyInFlight)
+            r->stampAccrual(lazyStart, BucketKind::Executed);
+        settled += kvPool.settleGrowth(r->kvSlot, grown);
+    }
+    if (settled != lazyCharged) {
+        panic("lazy stretch on instance " + std::to_string(instanceId) +
+              " charged " + std::to_string(lazyCharged) +
+              " GPU tokens but its slots grew by " +
+              std::to_string(settled));
+    }
+    ++catchups;
+    // A lazy step in flight now has its start applied and completes
+    // eagerly.
+    lazyInFlight = false;
+    lazyBatch.clear();
+    stepLog.clear();
+}
+
 void
 Instance::completeIteration(Time step_start)
 {
-    (void)step_start;
+    if (lazyInFlight) {
+        // Members re-keyed exactly mid-step (landings, admissions)
+        // compensate the bump; anything else needs the eager update.
+        if (sloBumpOnly(lazyPacing)) {
+            completeLazyStep(step_start);
+            return;
+        }
+        catchUp();
+    }
     // The plan stays parked in `inflight` so the steady-state fast
     // path can run it again verbatim; the next startIteration()
     // rebuilds it only if the scheduler observed a state change.
@@ -751,25 +885,32 @@ Instance::sloHeapFix(Request* r)
         sloHeapSiftDown(i);
 }
 
+bool
+Instance::sloBumpOnly(std::size_t advanced) const
+{
+    if (advanced == 0)
+        return true;
+    // Every heap member either advanced one answer token (flip bound
+    // moves by exactly one tpot) or was re-keyed exactly this
+    // iteration. With SLO classes on the per-request tpot targets are
+    // mixed, so a single shared bump is unsound.
+    std::size_t exact_live = 0;
+    for (const auto* r : sloExactScratch) {
+        if (r->sloHeapPos >= 0)
+            ++exact_live;
+    }
+    return !classCfg.enabled && advanced + exact_live == sloHeap.size();
+}
+
 void
 Instance::sloHeapAdvance()
 {
     if (sloAdvanced > 0) {
-        std::size_t exact_live = 0;
-        for (const auto* r : sloExactScratch) {
-            if (r->sloHeapPos >= 0)
-                ++exact_live;
-        }
-        if (!classCfg.enabled &&
-            sloAdvanced + exact_live == sloHeap.size()) {
-            // Every heap member either advanced one answer token
-            // (flip bound moves by exactly one tpot) or was re-keyed
-            // exactly this iteration: advance the shared offset once
-            // and compensate the exact re-keys, so the steady batch
-            // pays O(1) instead of one sift per member per token.
-            // With SLO classes on the per-request tpot targets are
-            // mixed, so a single shared bump is unsound and the Floyd
-            // rebuild below handles every advance exactly.
+        if (sloBumpOnly(sloAdvanced)) {
+            // Advance the shared offset once and compensate the exact
+            // re-keys, so the steady batch pays O(1) instead of one
+            // sift per member per token; otherwise the Floyd rebuild
+            // below handles every advance exactly.
             sloOffset += slo.tpotTarget;
             ++sloRekeys;
             for (auto* r : sloExactScratch) {
@@ -812,7 +953,7 @@ Instance::sloAtRiskViolated(std::size_t i, Time now) const
 }
 
 bool
-Instance::answeringSloOk(Time now, Time* slo_risk_at) const
+Instance::answeringSloOk(Time now, Time* slo_risk_at)
 {
     // Min-deadline heap: the top key is the earliest time any
     // answering request's verdict could flip, so the common decision
@@ -827,6 +968,8 @@ Instance::answeringSloOk(Time now, Time* slo_risk_at) const
         return true;
     }
     double top = sloHeap.front()->sloKey + sloOffset;
+    if (now >= top)
+        catchUp(); // The exact check reads token progress.
     if (now >= top && sloAtRiskViolated(0, now)) {
         if (slo_risk_at != nullptr)
             *slo_risk_at = kTimeInfinity; // Sticky until dirty.
@@ -861,8 +1004,9 @@ Instance::answeringSloOkScan(Time now, Time* slo_risk_at) const
 }
 
 void
-Instance::verifySloHeap(Time now) const
+Instance::verifySloHeap(Time now)
 {
+    catchUp();
     std::size_t members = 0;
     for (const auto* r : sched->hosted()) {
         bool member = r->phase() == Phase::Answering && !r->finished();
@@ -921,7 +1065,7 @@ Instance::verifySloHeap(Time now) const
 }
 
 core::InstanceSnapshot
-Instance::snapshot(Time now, Time* slo_risk_at) const
+Instance::snapshot(Time now, Time* slo_risk_at)
 {
     core::InstanceSnapshot snap;
     snap.id = instanceId;
@@ -934,6 +1078,7 @@ Instance::snapshot(Time now, Time* slo_risk_at) const
     snap.gpuCapacityTokens = kvPool.gpuCapacity();
     snap.predictedKvFootprintTokens = snap.kvFootprintTokens;
     if (predictor != nullptr) {
+        catchUp();
         double growth = 0.0;
         // Insertion-order walk: the float sum depends on summation
         // order, so iterating the swap-pop hosted vector would let a
@@ -966,6 +1111,8 @@ Instance::registerStats(obs::StatRegistry& reg,
     reg.counter(prefix + ".engine.prefills", &prefills);
     reg.counter(prefix + ".engine.swap_outs", &swapOuts);
     reg.counter(prefix + ".engine.swap_ins", &swapIns);
+    reg.counter(prefix + ".engine.lazy_steps", &lazySteps);
+    reg.counter(prefix + ".engine.catchups", &catchups);
     reg.counter(prefix + ".plan.reuses", &planReuses);
     reg.counter(prefix + ".plan.builds", &planBuilds);
     reg.counter(prefix + ".plan.repairs", &planRepairs);

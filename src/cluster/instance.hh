@@ -142,7 +142,8 @@ class Instance
     void setDraining(bool on);
 
     /** Straggler window: multiply every iteration's latency by
-     *  @p scale (1.0 restores full speed). */
+     *  @p scale (1.0 restores full speed). Reads no member state, so a
+     *  lazy stretch runs on across it. */
     void setPerfScale(double scale);
 
     /** @} */
@@ -204,7 +205,9 @@ class Instance
 
     /**
      * Paper t_i: all answering requests are keeping the user's
-     * expected pace (token pacer not starved).
+     * expected pace (token pacer not starved). Catches the lazy batch
+     * up first when a request is inside its risk window (the exact
+     * check reads token progress).
      *
      * @param slo_risk_at Optional out-param: earliest time a *true*
      *        verdict could flip to false with no further state change
@@ -214,12 +217,23 @@ class Instance
      *        least one tpot so floating-point rounding can never make
      *        a cached verdict disagree with a fresh recomputation.
      */
-    bool answeringSloOk(Time now, Time* slo_risk_at = nullptr) const;
+    bool answeringSloOk(Time now, Time* slo_risk_at = nullptr);
 
     /** Monitor snapshot for the placement algorithms. @p slo_risk_at
-     *  as in answeringSloOk(). */
+     *  as in answeringSloOk(). The predicted-footprint walk reads
+     *  every hosted request's progress, so it catches up first. */
     core::InstanceSnapshot snapshot(Time now,
-                                    Time* slo_risk_at = nullptr) const;
+                                    Time* slo_risk_at = nullptr);
+
+    /**
+     * Settle the lazy stretch: replay every logged step onto each
+     * batch member (Request::catchUpSteps) and settle its KV slot, so
+     * member state is exactly what eager steps would have left. A lazy
+     * step in flight gets its start applied and completes eagerly.
+     * Every reader of member state calls this first; harnesses call
+     * it (through Cluster::catchUp) before inspecting requests.
+     */
+    void catchUp();
 
     /**
      * Wire the cluster's incremental-view dirty marking: whenever an
@@ -284,6 +298,23 @@ class Instance
     /** SLO-heap re-key operations (emission / admission / landing /
      *  removal fixups). */
     std::uint64_t numSloHeapRekeys() const { return sloRekeys; }
+    /** Steps that ran lazily: logged instead of walking the batch. */
+    std::uint64_t numLazySteps() const { return lazySteps; }
+    /** Catch-ups that settled a lazy stretch. */
+    std::uint64_t numCatchUps() const { return catchups; }
+    /** Lazy steps (logged or in flight) the batch has not replayed:
+     *  non-zero exactly while a stretch is open. */
+    std::size_t
+    numPendingSteps() const
+    {
+        return stepLog.size() + (lazyInFlight ? 1 : 0);
+    }
+    /** Non-reused boundaries whose lastDecline() was @p d. */
+    std::uint64_t
+    numPlanDeclines(core::PlanDecline d) const
+    {
+        return declines[static_cast<std::size_t>(d)];
+    }
     /** @} */
 
     /**
@@ -311,11 +342,24 @@ class Instance
      * heap-based answeringSloOk verdict against the reference
      * O(hosted) walk at @p now.
      */
-    void verifySloHeap(Time now) const;
+    void verifySloHeap(Time now);
 
   private:
     void startIteration();
     void completeIteration(Time step_start);
+
+    /**
+     * Run the reused lineage plan as a lazy step starting at @p t0, if
+     * it qualifies: inside the stretch's event bound and with an SLO
+     * update that is the uniform offset bump (or nothing). O(1) except
+     * when it opens a stretch (O(batch) bounds). Schedules the
+     * completion and returns true; false means run the step eagerly.
+     */
+    bool startLazyStep(Time t0);
+
+    /** Completion of a lazy step: log it and do the O(1) aggregate
+     *  work (decode counter, SLO offset bump). */
+    void completeLazyStep(Time step_start);
 
     /** Shared admission body (exec/home/accrual/scheduler/SLO heap). */
     void admit(workload::Request* req);
@@ -374,6 +418,9 @@ class Instance
      *  a plan-boundary event per kick() instead of deduplicating. */
     bool forceKick = false;
 
+    /** SchedLimits::forceStep: every step walks its batch eagerly. */
+    bool forceStep = false;
+
     bool stepInFlight = false;
 
     /** Fault layer: false while crashed/drained-out (the engine idles
@@ -408,7 +455,8 @@ class Instance
      * compare instead of a hash-set lookup (and there is no per-
      * iteration set to clear). Requests arriving or migrating in get
      * their stamp reset so a stale epoch from a previous host can
-     * never collide.
+     * never collide. A lazy step reruns the previous step's batch, so
+     * it leaves the epoch (and every stamp) as it is.
      */
     std::uint64_t iterationEpoch = 0;
 
@@ -429,7 +477,6 @@ class Instance
     std::uint64_t planReuses = 0;
     std::uint64_t planBuilds = 0;
     std::uint64_t planRepairs = 0;
-
     /** Cluster-owned trace sink (may be null — the common case). */
     obs::TraceSink* trace = nullptr;
 
@@ -483,6 +530,11 @@ class Instance
      */
     void sloHeapAdvance();
 
+    /** sloHeapAdvance() with @p advanced members advancing one answer
+     *  token takes the O(1) offset bump (or has nothing to do): it
+     *  reads no member's progress. */
+    bool sloBumpOnly(std::size_t advanced) const;
+
     void sloHeapErase(workload::Request* r);
     void sloHeapSiftUp(std::size_t i);
     void sloHeapSiftDown(std::size_t i);
@@ -534,6 +586,57 @@ class Instance
      *  (unbounded growth); completeIteration() starts the next
      *  iteration itself once every expiry has settled. */
     bool drainingDeadlines = false;
+
+    std::uint64_t lazySteps = 0;
+    std::uint64_t catchups = 0;
+
+    /** Non-reused boundaries per PlanDecline reason. */
+    std::vector<std::uint64_t> declines;
+
+    /** @name Lazy steady decode (see catchUp())
+     *
+     * While the lineage plan reruns verbatim, a stretch of steps that
+     * cross no member event runs without touching the batch: each step
+     * charges the blocks its batch opens (from the lineage histogram),
+     * bumps the SLO-heap offset and the counters, and appends its
+     * (start, end) to the step log. Members replay the log at the next
+     * catch-up.
+     */
+    /** @{ */
+
+    /** The stretch's batch (the lineage decode batch its logged steps
+     *  ran); empty when no stretch is open. */
+    std::vector<workload::Request*> lazyBatch;
+
+    /** Completed lazy steps the batch has not replayed yet. */
+    std::vector<workload::StepSpan> stepLog;
+
+    /** Step-log capacity reserved at construction: covers typical
+     *  stretches without a mid-run reallocation. */
+    static constexpr std::size_t kStepLogReserve = 256;
+
+    /** Lazy steps the stretch may still take before a member's next
+     *  execution crosses an event (IntraScheduler::steadySteps). */
+    TokenCount lazyLeft = 0;
+
+    /** The batch's summed kvTokens() at the next lazy step's start:
+     *  every step grows it by exactly the batch size. */
+    TokenCount lazyBatchKv = 0;
+
+    /** Answering members of the stretch (each advances its SLO-heap
+     *  key by one tpot per step). */
+    std::size_t lazyPacing = 0;
+
+    /** GPU growth the stretch charged; the slots' settled growth must
+     *  add up to it at the catch-up. */
+    TokenCount lazyCharged = 0;
+
+    /** The in-flight step is lazy (its start not yet applied to the
+     *  batch). */
+    bool lazyInFlight = false;
+    Time lazyStart = 0.0;
+
+    /** @} */
 };
 
 } // namespace cluster

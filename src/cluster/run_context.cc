@@ -28,12 +28,15 @@ RunContext::run(Time until)
     if (until < 0.0)
         until = cfg.maxSimTime;
     ranToHorizon = until >= cfg.maxSimTime;
-    return sim.run(until);
+    std::uint64_t events = sim.run(until);
+    clusterPtr->catchUp();
+    return events;
 }
 
 RunResult
-RunContext::result() const
+RunContext::result()
 {
+    clusterPtr->catchUp();
     if (ranToHorizon && sim.pendingEvents() > 0) {
         warn("simulation horizon (" + std::to_string(cfg.maxSimTime) +
              " s) hit with events pending");

@@ -43,7 +43,9 @@ class RunContext
     /**
      * Drive the simulation until the queue drains or simulated time
      * would exceed @p until (default: the config's horizon). Can be
-     * called repeatedly with growing horizons to step a run.
+     * called repeatedly with growing horizons to step a run; every
+     * chunk ends with Cluster::catchUp(), so hosted requests can be
+     * inspected in between.
      *
      * @return Number of events executed.
      */
@@ -52,8 +54,8 @@ class RunContext
     /** Score the simulation into a RunResult. Warns if the horizon
      *  cut the run short — but not for mid-run inspection of a
      *  stepped run, where pending events and unfinished requests are
-     *  expected. */
-    RunResult result() const;
+     *  expected. Settles lazy decode stretches first. */
+    RunResult result();
 
     /** One-shot convenience: submit, run, score. */
     static RunResult execute(const SystemConfig& cfg,

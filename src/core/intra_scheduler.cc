@@ -503,14 +503,37 @@ IntraScheduler::lineageFits(const model::KvPool& pool) const
     // At this boundary the lineage has run planAge times and is about
     // to run again (k-th execution): the members whose build-time
     // offset is block - k (mod block) cross a block boundary now.
-    const auto block = static_cast<std::uint64_t>(lastBlockSize);
-    const std::uint64_t k = planAge + 1;
-    const std::uint64_t crossings =
-        blockOffsetHist[static_cast<std::size_t>((block - k % block) %
-                                                 block)];
-    return pool.gpuUsed() + static_cast<TokenCount>(block) *
-                                static_cast<TokenCount>(crossings) <=
+    return pool.gpuUsed() +
+               lastBlockSize * static_cast<TokenCount>(
+                                   lineageCrossings(planAge + 1)) <=
            pool.gpuCapacity();
+}
+
+TokenCount
+IntraScheduler::steadySteps(
+    const std::vector<workload::Request*>& batch) const
+{
+    if (keysUsePredictions())
+        return 0;
+    const TokenCount window = deferWindowStart();
+    TokenCount steps = std::numeric_limits<TokenCount>::max();
+    for (const auto* req : batch) {
+        // The next token event: </think> while reasoning, the first
+        // answering token right after it, the finish after that.
+        const TokenCount g = req->generated();
+        const TokenCount r = req->spec().reasoningTokens;
+        const TokenCount event =
+            g < r ? r : (g == r ? r + 1 : req->totalToGenerate());
+        steps = std::min(steps, event - g - 1);
+        if (limits.quantum > 0)
+            steps = std::min(steps,
+                             limits.quantum - req->quantumTokens - 1);
+        if (req->schedQueueTag == kHighTag)
+            steps = std::min(steps, window - req->kvTokens());
+        if (steps <= 0)
+            return 0;
+    }
+    return steps;
 }
 
 PlanRung

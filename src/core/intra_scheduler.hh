@@ -262,6 +262,31 @@ class IntraScheduler
      */
     PlanRung patchPlan(IterationPlan& prev, const model::KvPool& pool);
 
+    /**
+     * Block-rounded GPU growth of the step the last Reuse approved:
+     * the lineage batch opens blockSize tokens for every member whose
+     * KV sits on a block boundary (the histogram count lineageFits()
+     * checked). Valid right after patchPlan() returned Reuse.
+     */
+    TokenCount
+    lineageStepGrowth() const
+    {
+        return lastBlockSize *
+               static_cast<TokenCount>(lineageCrossings(planAge));
+    }
+
+    /**
+     * Consecutive upcoming executions of the hosted @p batch that are
+     * steady: each member emits a token that crosses no event
+     * (</think>, first answering token, finish, quantum rollover) and
+     * leaves noteExecuted() with nothing to do (no re-key, counter
+     * move, or deferred decision). 0 means the very next execution is
+     * not steady. Keyed policies re-key every execution, so nothing is
+     * steady under them. Incremental mode only.
+     */
+    TokenCount
+    steadySteps(const std::vector<workload::Request*>& batch) const;
+
     /** Notification that @p req crossed the reasoning->answering
      *  boundary and stays on this instance. */
     virtual void onPhaseTransition(workload::Request* req)
@@ -413,6 +438,17 @@ class IntraScheduler
      * Incremental mode only.
      */
     virtual void deferDecision(workload::Request* req) { (void)req; }
+
+    /**
+     * KV size at or below which deferDecision() ignores a high-queue
+     * member (PASCAL: the start of its demotion window). Bounds
+     * steadySteps(); the default policy defers nothing.
+     */
+    virtual TokenCount
+    deferWindowStart() const
+    {
+        return std::numeric_limits<TokenCount>::max();
+    }
 
     /**
      * Apply the decisions a policy takes at plan time (PASCAL's
@@ -789,6 +825,16 @@ class IntraScheduler
     /** The lineage batch still fits the pool at this boundary (the
      *  O(1) histogram budget check; see blockOffsetHist). */
     bool lineageFits(const model::KvPool& pool) const;
+
+    /** Lineage members that open a fresh KV block on the lineage's
+     *  k-th execution since its build (see blockOffsetHist). */
+    std::uint32_t
+    lineageCrossings(std::uint64_t k) const
+    {
+        const auto block = static_cast<std::uint64_t>(lastBlockSize);
+        return blockOffsetHist[static_cast<std::size_t>(
+            (block - k % block) % block)];
+    }
 
     /** Recompute-mode counter scans. */
     int scanReasoning() const;

@@ -153,10 +153,22 @@ struct SchedLimits
      * re-walking every material queue. This flag disables the patch
      * path so every non-reused boundary pays the full greedy walk —
      * the pre-optimization cost model. Results must be byte-identical
-     * either way; the plan-repair invariance tests pin the full 2^5
+     * either way; the plan-repair invariance tests pin the full
      * force-mode matrix field by field.
      */
     bool forcePlanRepair = false;
+
+    /**
+     * Debug mode mirroring forceResort for lazy steady decode: while
+     * an instance reruns its lineage plan verbatim, a step normally
+     * only logs its (start, end) time and does O(1) aggregate work,
+     * and each batch member replays the log when something next reads
+     * it (cluster::Instance's catch-up). This flag runs every step
+     * eagerly over its batch — the pre-optimization cost model.
+     * Results must be byte-identical either way; the invariance tests
+     * pin the full 2^6 force-mode matrix field by field.
+     */
+    bool forceStep = false;
 
     /** Validate; calls fatal() on nonsense values. */
     void validate() const;

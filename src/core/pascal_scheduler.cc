@@ -31,7 +31,8 @@ PascalScheduler::demote(workload::Request* req)
 void
 PascalScheduler::deferDecision(workload::Request* req)
 {
-    if (!req->schedDemotionPending && demotionPossible(req)) {
+    if (!req->schedDemotionPending &&
+        req->kvTokens() > deferWindowStart()) {
         req->schedDemotionPending = true;
         demotionCandidates.push_back(req);
     }

@@ -92,18 +92,16 @@ class PascalScheduler : public IntraScheduler
     virtual bool shouldDemote(const workload::Request* req) const;
 
     /**
-     * Cheap necessary condition for shouldDemote(): only requests
-     * passing it are queued as demotion candidates, so a steady batch
-     * far below the threshold re-checks nothing at all. Must be
-     * implied by shouldDemote() for every subclass (a request failing
-     * demotionPossible() must never satisfy shouldDemote() with the
-     * same KV), or incremental mode would miss demotions that
-     * recompute mode applies.
+     * The demotion window starts above this KV size. Only requests
+     * past it are queued as demotion candidates, so a steady batch far
+     * below the threshold re-checks nothing at all. shouldDemote() must
+     * be false at or below it for every subclass, or incremental mode
+     * would miss demotions that recompute mode applies.
      */
-    virtual bool
-    demotionPossible(const workload::Request* req) const
+    TokenCount
+    deferWindowStart() const override
     {
-        return req->kvTokens() > limits.demoteThresholdTokens;
+        return limits.demoteThresholdTokens;
     }
 
   private:

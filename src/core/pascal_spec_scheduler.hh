@@ -58,13 +58,12 @@ class PascalSpecScheduler : public PascalScheduler
         return lengthPredictor != nullptr;
     }
 
-    /** Inside the lookahead window below the threshold (necessary for
-     *  both the reactive rule and predictive demotion). */
-    bool
-    demotionPossible(const workload::Request* req) const override
+    /** The lookahead window below the threshold (necessary for both
+     *  the reactive rule and predictive demotion). */
+    TokenCount
+    deferWindowStart() const override
     {
-        return req->kvTokens() + limits.demoteLookaheadTokens >
-               limits.demoteThresholdTokens;
+        return limits.demoteThresholdTokens - limits.demoteLookaheadTokens;
     }
 };
 

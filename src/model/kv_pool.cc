@@ -41,6 +41,13 @@ KvPool::growGpuPanic(const Entry& e, TokenCount delta) const
           std::to_string(e.owner));
 }
 
+void
+KvPool::chargeGrowthPanic(TokenCount extra) const
+{
+    panic("KvPool::chargeGrowth: " + std::to_string(extra) +
+          " tokens do not fit " + std::to_string(gpuFree()) + " free");
+}
+
 KvSlot
 KvPool::acquireSlot(RequestId id, TokenCount tokens)
 {

@@ -176,6 +176,39 @@ class KvPool
             peakGpuTokens = gpuUsedTokens;
     }
 
+    /**
+     * Aggregate half of a batch's decode-step growth: charge @p extra
+     * (block-rounded) tokens to GPU usage and the peak without touching
+     * any slot. A lazy steady step charges the blocks its batch opens
+     * this way; the slots catch up later through settleGrowth().
+     */
+    void
+    chargeGrowth(TokenCount extra)
+    {
+        if (extra < 0 || extra > gpuFree())
+            chargeGrowthPanic(extra);
+        gpuUsedTokens += extra;
+        if (gpuUsedTokens > peakGpuTokens)
+            peakGpuTokens = gpuUsedTokens;
+    }
+
+    /**
+     * Slot half: grow GPU-resident @p slot by @p delta tokens whose
+     * blocks chargeGrowth() already charged. @return The block-rounded
+     * charge this growth implies, so the caller can prove it matches
+     * what was charged.
+     */
+    TokenCount
+    settleGrowth(KvSlot slot, TokenCount delta)
+    {
+        Entry& e = lookup(slot);
+        if (delta < 0 || e.tier != KvTier::Gpu)
+            growGpuPanic(e, delta);
+        TokenCount before = chargeFor(e.tokens);
+        e.tokens += delta;
+        return chargeFor(e.tokens) - before;
+    }
+
     /** Offload @p slot's KV from GPU to CPU. */
     void moveToCpu(KvSlot slot);
 
@@ -226,6 +259,7 @@ class KvPool
     [[noreturn]] void lookupPanic(KvSlot slot) const;
     [[noreturn]] void growGpuPanic(const Entry& e,
                                    TokenCount delta) const;
+    [[noreturn]] void chargeGrowthPanic(TokenCount extra) const;
 
     /** Pop a recycled slot or append a fresh one. */
     KvSlot acquireSlot(RequestId id, TokenCount tokens);

@@ -57,6 +57,16 @@ Request::emitTokenPanic() const
 }
 
 void
+Request::catchUpPanic(std::size_t n) const
+{
+    panic("catch-up of " + std::to_string(n) + " steps for request " +
+          std::to_string(id()) + " (generated " +
+          std::to_string(generatedTokens) + ", quantum tokens " +
+          std::to_string(quantumTokens) +
+          ") crosses an event or starts off the executed bucket");
+}
+
+void
 Request::completePrefill(Time now, TokenCount quantum)
 {
     if (prefillDone)

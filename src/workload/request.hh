@@ -102,6 +102,14 @@ enum class BucketKind
     Preempted,
 };
 
+/** One logged decode step of an instance: when it started and when
+ *  it completed (see Request::catchUpSteps). */
+struct StepSpan
+{
+    Time start;
+    Time end;
+};
+
 /**
  * Mutable runtime state of one request.
  *
@@ -210,6 +218,54 @@ class Request
     }
 
     [[noreturn]] void emitTokenPanic() const;
+
+    /**
+     * Apply @p n logged steady decode steps at once: for each step,
+     * exactly what the engine's eager path does to a batch member —
+     * settle the gap before the step start and the step itself into
+     * the executed bucket (the same two additions, in the same order),
+     * emit one token, and push its emission time for an answering
+     * member. The instance only defers steps that cross no event: no
+     * </think>, first answering token or finish, no quantum rollover,
+     * and the member already running (standing bucket Executed). A
+     * stretch that would cross one is a simulator bug and panics.
+     */
+    void
+    catchUpSteps(const StepSpan* steps, std::size_t n, TokenCount quantum)
+    {
+        if (n == 0)
+            return;
+        const auto steps_n = static_cast<TokenCount>(n);
+        const TokenCount after = generatedTokens + steps_n;
+        const bool answering = generatedTokens > specData.reasoningTokens;
+        if (accrualKind != BucketKind::Executed ||
+            after >= (answering ? totalToGenerate()
+                                : specData.reasoningTokens) ||
+            (quantum > 0 && quantumTokens + steps_n >= quantum)) {
+            catchUpPanic(n);
+        }
+        PhaseBuckets& b = answering ? answeringBuckets : reasoningBuckets;
+        double executed = b.executed;
+        Time last = lastAccount;
+        for (std::size_t i = 0; i < n; ++i) {
+            double dt = steps[i].start - last;
+            if (dt > 0.0)
+                executed += dt;
+            dt = steps[i].end - steps[i].start;
+            if (dt > 0.0)
+                executed += dt;
+            last = steps[i].end;
+            if (answering)
+                answerEmitTimes.push_back(last);
+        }
+        b.executed = executed;
+        lastAccount = last;
+        generatedTokens = after;
+        if (quantum > 0)
+            quantumTokens += steps_n;
+    }
+
+    [[noreturn]] void catchUpPanic(std::size_t n) const;
 
     /** Mark prefill completion at @p now; emits the first reasoning
      *  token (Fig. 1(b): prefill produces r1). */

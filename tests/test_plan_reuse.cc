@@ -576,12 +576,12 @@ TEST_F(PlanReuseInvariance, BatchCappedKeptResidentsByteIdentical)
     }
 }
 
-TEST_F(PlanReuseInvariance, AllThirtyTwoForceCornersByteIdentical)
+TEST_F(PlanReuseInvariance, AllSixtyFourForceCornersByteIdentical)
 {
     // {FORCE_REPAIR} x {FORCE_KICK} x {FORCE_VIEW} x {FORCE_RESORT} x
-    // {FORCE_ACCRUE}: every corner disables (or eagerly verifies) a
-    // different maintained structure, so all 32 runs recompute
-    // different subsets of the same state and must agree
+    // {FORCE_ACCRUE} x {FORCE_STEP}: every corner disables (or eagerly
+    // verifies) a different maintained structure, so all 64 runs
+    // recompute different subsets of the same state and must agree
     // byte-for-byte. The all-ones corner is the bench's recompute
     // twin; mask 0 is the production fast path.
     auto trace = transitionTrace(555, 300);
@@ -589,15 +589,21 @@ TEST_F(PlanReuseInvariance, AllThirtyTwoForceCornersByteIdentical)
                                      predictorNamed("oracle"), 8192);
 
     std::vector<cluster::RunResult> results;
-    for (int mask = 0; mask < 32; ++mask) {
+    for (int mask = 0; mask < 64; ++mask) {
         SystemConfig cfg = base;
         cfg.limits.forcePerArrivalKick = (mask & 1) != 0;
         cfg.forceViewRebuild = (mask & 2) != 0;
         cfg.limits.forceResort = (mask & 4) != 0;
         cfg.limits.forceAccrue = (mask & 8) != 0;
         cfg.limits.forcePlanRepair = (mask & 16) != 0;
+        cfg.limits.forceStep = (mask & 32) != 0;
         results.push_back(cluster::RunContext::execute(cfg, trace));
     }
+    // The fast path really does run lazy steps on this shape.
+    const obs::StatValue* lazy =
+        obs::findStat(results[0].statsDump, "instance.0.engine.lazy_steps");
+    ASSERT_NE(lazy, nullptr);
+    EXPECT_GT(lazy->value, 0.0);
     for (std::size_t i = 1; i < results.size(); ++i) {
         SCOPED_TRACE("mode mask " + std::to_string(i));
         test::expectIdentical(results[0], results[i]);
