@@ -88,7 +88,6 @@ Instance::admit(Request* req)
         req->resetAccrual(sim.now(), BucketKind::Blocked);
     req->exec = ExecState::WaitingNew;
     req->home = instanceId;
-    req->runEpoch = 0;
     req->kvSlot = model::kNoKvSlot;
     sched->add(req);
     // startInAnswering arrivals begin their TTFAT countdown the
@@ -143,7 +142,6 @@ Instance::landMigration(Request* req)
     // (the stamp was set by detach on the source instance).
     req->settleAccrual(sim.now());
     req->home = instanceId;
-    req->runEpoch = 0;
     checkNoKv(req);
     if (kvPool.canAllocGpu(req->kvTokens())) {
         req->kvSlot = kvPool.allocGpu(req->id(), req->kvTokens());
@@ -371,8 +369,6 @@ Instance::startIteration()
             r->firstScheduled = t0;
     }
 
-    ++iterationEpoch;
-
     TokenCount prompt_tokens = 0;
     for (auto* r : plan.prefill) {
         r->stampAccrual(t0, BucketKind::Executed);
@@ -385,7 +381,6 @@ Instance::startIteration()
         if (r->firstScheduled < 0.0)
             r->firstScheduled = t0;
         prompt_tokens += r->spec().promptTokens;
-        r->runEpoch = iterationEpoch;
         ++prefills;
     }
 
@@ -400,7 +395,6 @@ Instance::startIteration()
             r->firstAnswerScheduled < 0.0) {
             r->firstAnswerScheduled = t0;
         }
-        r->runEpoch = iterationEpoch;
     }
 
     // On a freshly built plan the not-running residents' standing
@@ -499,9 +493,15 @@ Instance::setPerfScale(double scale)
 void
 Instance::verifyAccrualStamps(bool prefill_iteration) const
 {
+    // The step's batch: during a lazy stretch inflight.decode is the
+    // lazy batch and inflight.prefill is empty.
+    std::vector<const Request*> ran(inflight.prefill.begin(),
+                                    inflight.prefill.end());
+    ran.insert(ran.end(), inflight.decode.begin(), inflight.decode.end());
+    std::sort(ran.begin(), ran.end());
     for (const auto* r : sched->hosted()) {
         BucketKind expect;
-        if (r->runEpoch == iterationEpoch) {
+        if (std::binary_search(ran.begin(), ran.end(), r)) {
             expect = BucketKind::Executed;
         } else if (r->exec == ExecState::WaitingNew) {
             expect = BucketKind::Blocked;
@@ -1120,7 +1120,7 @@ Instance::registerStats(obs::StatRegistry& reg,
                 [this] { return planBuilds - planRepairs; });
     reg.counter(prefix + ".slo.rekeys", &sloRekeys);
     reg.counter(prefix + ".queue.compactions", [this] {
-        return sched->numEvictQueueCompactions();
+        return sched->numQueueCompactions();
     });
     reg.gauge(prefix + ".kv.gpu_capacity", [this] {
         return static_cast<double>(kvPool.gpuCapacity());

@@ -327,10 +327,11 @@ class Instance
     /**
      * Register this instance's counters/gauges on @p reg under
      * @p prefix (e.g. "instance.3"): engine counters, plan fast-path
-     * counters, SLO-heap rekeys, eviction-queue compactions, KV pool
-     * gauges, and the decode batch-size distribution. Registration is
-     * non-owning pointers/functors — the hot path keeps its bare
-     * member increments.
+     * counters, SLO-heap rekeys, the policy queues' arena compactions
+     * (queue.compactions, summed over the high and low queue), KV
+     * pool gauges, and the decode batch-size distribution.
+     * Registration is non-owning pointers/functors — the hot path
+     * keeps its bare member increments.
      */
     void registerStats(obs::StatRegistry& reg,
                        const std::string& prefix);
@@ -447,18 +448,6 @@ class Instance
     /** A deferred plan-boundary event is already scheduled at the
      *  current timestamp (coalesced mode only). */
     bool kickPending = false;
-
-    /**
-     * Epoch stamp for batch membership: startIteration bumps it and
-     * stamps every running request's runEpoch, so accrueAll's "did
-     * this request run in the completed step?" test is one integer
-     * compare instead of a hash-set lookup (and there is no per-
-     * iteration set to clear). Requests arriving or migrating in get
-     * their stamp reset so a stale epoch from a previous host can
-     * never collide. A lazy step reruns the previous step's batch, so
-     * it leaves the epoch (and every stamp) as it is.
-     */
-    std::uint64_t iterationEpoch = 0;
 
     /** Plan of the iteration currently executing. Held here (not in
      *  the continuation closure) so the per-iteration event callback

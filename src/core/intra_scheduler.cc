@@ -107,8 +107,6 @@ IntraScheduler::add(workload::Request* req)
     // Greedy-walk early-exit bookkeeping (any previous host already
     // unlinked the request from its own structures in remove()).
     req->schedInResidentList = false;
-    req->schedEvictNode = nullptr;
-    req->schedEvictDirty = false;
     req->schedRepairState = kRepairNone;
     req->schedRepairSplice = false;
     req->schedPlanStamp = 0;
@@ -215,11 +213,11 @@ IntraScheduler::remove(workload::Request* req)
                                                 block)});
             }
         }
-        // Queue unlink first (it reads schedInResidentList to keep
-        // its material count exact), then the early-exit structures.
+        // Queue unlink first: it reads schedInResidentList to keep
+        // its material count exact.
         queueByTag(req->schedQueueTag).erase(req);
     }
-    unlinkMaterial(req);
+    req->schedInResidentList = false;
     if (req->schedCountedWaiting) {
         // Departing while still waiting (not a path the engine takes
         // today, but the floor must stay exact regardless).
@@ -234,16 +232,6 @@ IntraScheduler::remove(workload::Request* req)
 }
 
 void
-IntraScheduler::unlinkMaterial(workload::Request* req)
-{
-    if (!req->schedInResidentList)
-        return;
-    if (incremental)
-        evictOrder.erase(req);
-    req->schedInResidentList = false;
-}
-
-void
 IntraScheduler::noteResidency(workload::Request* req)
 {
     bool material =
@@ -251,25 +239,19 @@ IntraScheduler::noteResidency(workload::Request* req)
         req->exec == workload::ExecState::SwappedCpu;
     if (material && !req->schedInResidentList) {
         req->schedInResidentList = true;
-        if (incremental) {
-            // Deferred link: the eviction-order key is read at the
-            // next build's repair(), after any same-boundary re-keys.
-            evictOrder.insert(req);
-            if (repairActive()) {
-                if (req->exec == workload::ExecState::ResidentGpu &&
-                    req->schedRepairState == kRepairNone) {
-                    // GPU KV appeared mid-lineage (migration landing,
-                    // prefill or prewarm allocation during an
-                    // excursion): patchable — merge it into the
-                    // decode batch at its rank at the next boundary.
-                    req->schedRepairState = kRepairInsert;
-                    repairJournal.push_back({req, kRepairInsert, 0});
-                } else if (req->exec ==
-                           workload::ExecState::SwappedCpu) {
-                    // A swapped landing needs a swap-in decision the
-                    // patch path cannot make; only a full walk can.
-                    repairBail = true;
-                }
+        if (repairActive()) {
+            if (req->exec == workload::ExecState::ResidentGpu &&
+                req->schedRepairState == kRepairNone) {
+                // GPU KV appeared mid-lineage (migration landing,
+                // prefill or prewarm allocation during an excursion):
+                // patchable — merge it into the decode batch at its
+                // rank at the next boundary.
+                req->schedRepairState = kRepairInsert;
+                repairJournal.push_back({req, kRepairInsert, 0});
+            } else if (req->exec == workload::ExecState::SwappedCpu) {
+                // A swapped landing needs a swap-in decision the patch
+                // path cannot make; only a full walk can.
+                repairBail = true;
             }
         }
         if (req->schedNode != nullptr) {
@@ -284,7 +266,7 @@ IntraScheduler::noteResidency(workload::Request* req)
                 waitingPrompts.find(req->spec().promptTokens));
         }
     } else if (!material && req->schedInResidentList) {
-        unlinkMaterial(req);
+        req->schedInResidentList = false;
         if (req->schedNode != nullptr)
             queueByTag(req->schedQueueTag).noteMaterialized(req);
     }
@@ -367,8 +349,6 @@ IntraScheduler::requeue(workload::Request* req, std::uint8_t tag)
         queueByTag(req->schedQueueTag).erase(req);
         queueByTag(tag).insert(req);
     }
-    // After the transfer, so the eviction-order relink reads the
-    // settled tag.
     noteKeyChanged(req);
     noteStateChanged();
 }
@@ -469,10 +449,8 @@ IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
 void
 IntraScheduler::noteKeyChanged(workload::Request* req)
 {
-    if (!incremental || !req->schedInResidentList)
-        return;
-    evictOrder.markDirty(req);
-    if (repairActive() && req->schedRepairState == kRepairNone) {
+    if (req->schedInResidentList && repairActive() &&
+        req->schedRepairState == kRepairNone) {
         // First key move of this lineage; later moves ride the same
         // entry (the merge reads keys at patch time), and a pending
         // insert already re-reads its key too.
@@ -798,7 +776,7 @@ IntraScheduler::finishGreedySelect(const model::KvPool& pool,
     // covers them (they simply skip this iteration); the rest are
     // evicted, lowest priority first. The record is already in walk
     // priority order end to end (the early-exit tail comes from the
-    // maintained eviction-order structure pre-sorted), so the evicted
+    // queues' material sublists pre-sorted), so the evicted
     // set and the swapOut sequence are byte-identical to the full
     // walk's with no re-sort.
     TokenCount total_keep_cost = 0;

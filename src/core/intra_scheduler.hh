@@ -105,9 +105,9 @@ struct SchedOrder
 /**
  * Priority order of GPU residents across both queues: the queue tag
  * ranks the high queue above the low queue, then SchedOrder. It is the
- * greedy walk's order, used to restore walk order over the residents
- * an early-exited walk never visited (before evicting from the back)
- * and to merge re-keyed members into a repaired plan.
+ * greedy walk's order, so it equals the high queue's material sublist
+ * followed by the low queue's (what the early-exit settle pass reads);
+ * patchPlan() uses it to merge re-keyed members into a repaired plan.
  */
 struct ResidentEvictOrder
 {
@@ -371,11 +371,11 @@ class IntraScheduler
      *  repair declined (None after a Reuse). */
     PlanDecline lastDecline() const { return decline; }
 
-    /** Lazy-erase compactions of the maintained eviction-order
-     *  structure (stat registry: <instance>.queue.compactions). */
-    std::uint64_t numEvictQueueCompactions() const
+    /** Arena compactions of the high and low policy queues (stat
+     *  registry: <instance>.queue.compactions). */
+    std::uint64_t numQueueCompactions() const
     {
-        return evictOrder.numCompactions();
+        return highQueue.numCompactions() + lowQueue.numCompactions();
     }
 
   protected:
@@ -533,11 +533,10 @@ class IntraScheduler
 
     /**
      * A hosted request's ResidentEvictOrder key moved (quantum
-     * consumption, queue transfer, demotion, predictor re-key). Keeps
-     * the maintained eviction-order structure exact and journals the
-     * member for the plan-repair splice/merge when a repairable
-     * lineage is active. No-op for non-material members (their keys
-     * are re-read at admission) and in recompute mode.
+     * consumption, queue transfer, demotion, predictor re-key).
+     * Journals the member for the plan-repair splice/merge when a
+     * repairable lineage is active. No-op for non-material members
+     * (their keys are re-read at admission) and in recompute mode.
      */
     void noteKeyChanged(workload::Request* req);
 
@@ -591,15 +590,6 @@ class IntraScheduler
                        const model::KvPool& pool, bool stop_at_unfit,
                        IterationPlan& out)
     {
-        if (incremental) {
-            // Link any pending eviction-order members now: every key
-            // change of this boundary (demotion, predictor re-key,
-            // quantum rollover) has already been marked dirty by the
-            // incremental plan's prologue, so the settle pass below reads a
-            // fully ordered resident structure — no per-build
-            // re-sort.
-            evictOrder.repair();
-        }
         TokenCount budget = pool.gpuCapacity();
         TokenCount high_budget = cap_high ? high_budget_cap : budget;
         TokenCount prefill_tokens = 0;
@@ -792,18 +782,21 @@ class IntraScheduler
         if (!walking && incremental) {
             // Full exit (batch full / strict-order stop): settle the
             // GPU residents the walk never reached. Every unstamped
-            // member of the maintained eviction-order structure is by
-            // construction unselected (selection requires a visit),
-            // and arrives already in eviction priority order — so the
-            // keep/evict pass needs no tail re-sort.
-            for (auto eit = evictOrder.begin(); eit != evictOrder.end();
-                 ++eit) {
-                workload::Request* r = *eit;
-                if (r->exec != workload::ExecState::ResidentGpu ||
-                    r->schedPlanStamp == planWalkEpoch ||
-                    !schedulable(r))
-                    continue;
-                unselected_residents.push_back(r);
+            // material member is by construction unselected
+            // (selection requires a visit), and the high queue's
+            // material sublist followed by the low queue's is walk
+            // priority order (both were repaired before the walk) —
+            // so the keep/evict pass needs no tail re-sort.
+            for (const auto* q : {&highQueue, &lowQueue}) {
+                for (auto mit = q->materialBegin(); mit != q->end();
+                     ++mit) {
+                    workload::Request* r = *mit;
+                    if (r->exec != workload::ExecState::ResidentGpu ||
+                        r->schedPlanStamp == planWalkEpoch ||
+                        !schedulable(r))
+                        continue;
+                    unselected_residents.push_back(r);
+                }
             }
         }
         finishGreedySelect(pool, out, budget);
@@ -813,9 +806,9 @@ class IntraScheduler
      * Shared tail of the greedy walk: keep unselected residents while
      * @p leftover_budget covers them and evict the rest. The record
      * arrives in walk priority order end to end — the walked prefix
-     * by construction, the early-exit tail because the maintained
-     * eviction-order structure yields it pre-sorted — so no re-sort
-     * is needed and the emitted plan is byte-identical to the full
+     * by construction, the early-exit tail because the queues'
+     * material sublists yield it pre-sorted — so no re-sort is
+     * needed and the emitted plan is byte-identical to the full
      * walk's.
      */
     void finishGreedySelect(const model::KvPool& pool,
@@ -860,19 +853,6 @@ class IntraScheduler
     /** @name Greedy-walk early-exit state */
     /** @{ */
 
-    /**
-     * Maintained eviction-order structure over the material members:
-     * every hosted request that holds KV (GPU-resident or swapped),
-     * kept sorted by ResidentEvictOrder across builds (incremental
-     * mode only; recompute mode never touches it). Membership changes
-     * only at prefill/prewarm allocation, migration landing, and
-     * departure — swaps move tiers, not membership; key moves arrive
-     * via noteKeyChanged(). The greedy walk's early-exit settle pass
-     * reads it pre-sorted, so swap-thrashing instances stop paying a
-     * per-build eviction re-sort.
-     */
-    OrderedQueue<ResidentEvictOrder, EvictQueueHooks> evictOrder{1};
-
     /** Exact multiset of hosted waiting requests' prompt sizes (the
      *  waiting set is frozen during a walk, so its minimum yields an
      *  exact "nothing waiting fits" admission floor). */
@@ -885,9 +865,6 @@ class IntraScheduler
 
     /** Epoch stamped into visited residents per greedy walk. */
     std::uint64_t planWalkEpoch = 0;
-
-    /** Unlink @p req from the material set if present. */
-    void unlinkMaterial(workload::Request* req);
 
     /** @} */
 

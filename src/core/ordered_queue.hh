@@ -42,13 +42,13 @@
  * id), so the sorted order is unique and independent of how it was
  * produced.
  *
- * Intrusive-field indirection: the queue reaches its per-request node
- * pointer / dirty flag / queue tag through a Hooks policy, so two
- * queues with different node fields can hold the same request — the
- * policy queues use the schedNode family (SchedQueueHooks), the
- * scheduler's maintained eviction-order queue uses the schedEvictNode
- * family (EvictQueueHooks, which also skips queue-tag stamping since
- * the tag is an ordering key owned by the policy queues).
+ * Intrusive fields: a request belongs to at most one queue at a time,
+ * so the queue keeps its per-request node pointer, dirty flag and
+ * queue tag directly in Request::schedNode / schedDirtyPending /
+ * schedQueueTag. The material sublist doubles as the scheduler's
+ * resident priority order: materialBegin() walks it alone, which is
+ * how the greedy walk's early-exit settle pass reads the unreached
+ * residents pre-sorted.
  *
  * Generation-segregated arena compaction: node recycling through the
  * per-height free lists keeps memory bounded but slowly randomizes
@@ -84,44 +84,10 @@ namespace pascal
 namespace core
 {
 
-/** Default intrusive-field policy: the scheduler's high and low
- *  queues, which own schedQueueTag. */
-struct SchedQueueHooks
-{
-    static void*& node(workload::Request* r) { return r->schedNode; }
-    static bool& dirty(workload::Request* r)
-    {
-        return r->schedDirtyPending;
-    }
-    static void
-    setTag(workload::Request* r, std::uint8_t tag)
-    {
-        r->schedQueueTag = tag;
-    }
-};
-
-/** Intrusive-field policy for the scheduler's maintained
- *  eviction-order queue: a second queue holding the same requests as
- *  the policy queues, so it uses its own node/dirty fields and leaves
- *  schedQueueTag (an ordering key) alone. */
-struct EvictQueueHooks
-{
-    static void*& node(workload::Request* r)
-    {
-        return r->schedEvictNode;
-    }
-    static bool& dirty(workload::Request* r)
-    {
-        return r->schedEvictDirty;
-    }
-    static void setTag(workload::Request*, std::uint8_t) {}
-};
-
 /** Skip-list request queue with dirty-set repair and a material /
  *  waiting split. @tparam Cmp strict total order over Request
- *  pointers (stateless functor). @tparam Hooks intrusive-field
- *  policy (which per-request node/dirty/tag fields this queue owns). */
-template <typename Cmp, typename Hooks = SchedQueueHooks>
+ *  pointers (stateless functor). */
+template <typename Cmp>
 class OrderedQueue
 {
     /** Tower height cap: p = 1/2 levels support ~2^kMaxHeight
@@ -256,12 +222,20 @@ class OrderedQueue
     }
     iterator end() const { return iterator(nullptr, nullptr); }
 
+    /** Walk over the material members alone, in key order (valid
+     *  right after repair()); ends at end(). */
+    iterator
+    materialBegin() const
+    {
+        return iterator(material.head->next(0), nullptr);
+    }
+
     /** Add a request (takes effect at the next repair()). */
     void
     insert(workload::Request* r)
     {
-        Hooks::setTag(r, tag);
-        Hooks::dirty(r) = true;
+        r->schedQueueTag = tag;
+        r->schedDirtyPending = true;
         pending.push_back(r);
     }
 
@@ -273,9 +247,9 @@ class OrderedQueue
     void
     erase(workload::Request* r)
     {
-        Hooks::setTag(r, 0);
-        if (Hooks::dirty(r)) {
-            Hooks::dirty(r) = false;
+        r->schedQueueTag = 0;
+        if (r->schedDirtyPending) {
+            r->schedDirtyPending = false;
             auto it = std::find(pending.begin(), pending.end(), r);
             if (it == pending.end())
                 panic("OrderedQueue::erase: pending entry missing");
@@ -291,10 +265,10 @@ class OrderedQueue
     void
     markDirty(workload::Request* r)
     {
-        if (Hooks::dirty(r))
+        if (r->schedDirtyPending)
             return; // Already queued for re-insertion.
         unlink(r);
-        Hooks::dirty(r) = true;
+        r->schedDirtyPending = true;
         pending.push_back(r);
     }
 
@@ -306,17 +280,14 @@ class OrderedQueue
     void
     noteMaterialized(workload::Request* r)
     {
-        if (Hooks::dirty(r))
+        if (r->schedDirtyPending)
             return;
-        Node* node = static_cast<Node*>(Hooks::node(r));
+        Node* node = static_cast<Node*>(r->schedNode);
         if (node == nullptr || node->mat == r->schedInResidentList)
             return;
         unlink(r);
         link(r);
     }
-
-    /** True if repair() has pending work. */
-    bool dirty() const { return !pending.empty(); }
 
     /**
      * Re-establish the sorted invariant: every pending request is
@@ -332,36 +303,10 @@ class OrderedQueue
             recycleChurn >= 4 * (material.linked + waiting.linked))
             compact();
         for (auto* r : pending) {
-            Hooks::dirty(r) = false;
+            r->schedDirtyPending = false;
             link(r);
         }
         pending.clear();
-    }
-
-    /** Drop everything (requests keep their tags; callers re-insert). */
-    void
-    clear()
-    {
-        for (SubList* s : {&material, &waiting}) {
-            for (Node* n = s->head->next(0); n != nullptr;) {
-                Node* next = n->next(0);
-                Hooks::node(n->req) = nullptr;
-                n->req = nullptr;
-                freeNodes[n->height].push_back(n);
-                n = next;
-            }
-            for (int l = 0; l < kMaxHeight; ++l)
-                s->head->links()[l] = Link{nullptr, nullptr};
-            s->maxLevel = 1;
-            s->linked = 0;
-        }
-        pending.clear();
-    }
-
-    std::size_t
-    size() const
-    {
-        return material.linked + waiting.linked + pending.size();
     }
 
     /** Arena compactions performed so far (diagnostic). */
@@ -451,7 +396,7 @@ class OrderedQueue
                 copy->req = n->req;
                 copy->height = n->height;
                 copy->mat = n->mat;
-                Hooks::node(copy->req) = copy;
+                copy->req->schedNode = copy;
                 for (int l = 0; l < copy->height; ++l) {
                     copy->links()[l] = Link{nullptr, last[l]};
                     last[l]->links()[l].next = copy;
@@ -475,7 +420,7 @@ class OrderedQueue
         node->req = r;
         node->height = height;
         node->mat = r->schedInResidentList;
-        Hooks::node(r) = node;
+        r->schedNode = node;
         s.maxLevel = std::max(s.maxLevel, height);
 
         Cmp less{};
@@ -500,7 +445,7 @@ class OrderedQueue
     void
     unlink(workload::Request* r)
     {
-        Node* node = static_cast<Node*>(Hooks::node(r));
+        Node* node = static_cast<Node*>(r->schedNode);
         if (node == nullptr || node->req != r)
             panic("OrderedQueue: request " + std::to_string(r->id()) +
                   " has no linked node in this queue");
@@ -512,7 +457,7 @@ class OrderedQueue
         }
         SubList& s = node->mat ? material : waiting;
         --s.linked;
-        Hooks::node(r) = nullptr;
+        r->schedNode = nullptr;
         node->req = nullptr;
         freeNodes[node->height].push_back(node);
         ++recycleChurn;

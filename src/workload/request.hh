@@ -333,7 +333,7 @@ class Request
     /** @name Intrusive scheduler/engine bookkeeping
      *
      * Owned by the hosting core::IntraScheduler (sched*) and
-     * cluster::Instance (runEpoch); not part of the workload
+     * cluster::Instance (slo*, kvSlot); not part of the workload
      * semantics. Keeping these fields inside the request makes the
      * incremental scheduling structures allocation-free and O(1) to
      * update: the queues store raw pointers and find a request's
@@ -376,10 +376,6 @@ class Request
     /** Queued for a demotion-rule re-check (KV or prediction moved). */
     bool schedDemotionPending = false;
 
-    /** Instance iteration epoch when the request last ran (replaces
-     *  the per-iteration hash-set batch membership test). */
-    std::uint64_t runEpoch = 0;
-
     /** Skip-list node of the OrderedQueue currently holding the
      *  request (owned by that queue; null when unlinked or pending).
      *  Lets erase/markDirty unlink in O(log n) without a search. */
@@ -387,24 +383,17 @@ class Request
 
     /** @name Scheduler resident-set tracking
      *
-     * Intrusive membership in the hosting scheduler's GPU-resident
-     * set, kept in sync by the engine's residency notifications
-     * (incremental mode's dirty-set contract). The greedy selection
-     * walk uses it to account unselected residents without visiting
-     * the admission backlog behind them; in incremental mode the set
-     * is a maintained ResidentEvictOrder skip list (schedEvictNode)
-     * so the walk's settle pass visits residents pre-sorted in
-     * eviction order instead of re-sorting per build.
+     * Intrusive membership in the hosting scheduler's material set
+     * (GPU-resident or swapped), kept in sync by the engine's
+     * residency notifications (incremental mode's dirty-set
+     * contract). In incremental mode it also picks the sublist of
+     * the request's policy queue: the material sublists, high queue
+     * first, are the residents in eviction priority order, so the
+     * greedy walk's settle pass visits the unreached residents
+     * pre-sorted without walking the admission backlog.
      */
     /** @{ */
     bool schedInResidentList = false;
-
-    /** Skip-list node of the scheduler's maintained eviction-order
-     *  queue (incremental mode only; null when unlinked/pending). */
-    void* schedEvictNode = nullptr;
-
-    /** Awaiting re-insertion into the eviction-order queue. */
-    bool schedEvictDirty = false;
 
     /** Plan-repair journal state for the active plan lineage
      *  (core::IntraScheduler repair ops; 0 = not journaled). */

@@ -141,10 +141,10 @@ TEST_F(PlanReuseInvariance, FcfsMigrationKeepsStrictOrderUnderPressure)
 TEST_F(PlanReuseInvariance, EvictionStormTailStaysByteIdentical)
 {
     // Swap-thrashing regime: the incremental walk's early exit
-    // settles unreached residents from the material list and restores
-    // priority order only when an eviction actually fires — the
-    // evicted set and swap-out sequence must still match the
-    // recompute walk exactly, every iteration.
+    // settles unreached residents from the queues' material
+    // sublists, already in priority order — the evicted set and
+    // swap-out sequence must still match the recompute walk exactly,
+    // every iteration.
     Rng rng(4711);
     auto profile = workload::DatasetProfile::alpacaEval();
     profile.prompt = {96.0, 0.5, 48, 192};
