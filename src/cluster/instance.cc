@@ -93,7 +93,6 @@ Instance::admit(Request* req)
     // startInAnswering arrivals begin their TTFAT countdown the
     // moment they are admitted.
     sloHeapFix(req);
-    sloNoteExact(req);
     if (trace != nullptr) {
         trace->instant(obs::TraceCat::Admission, obs::TraceName::Admit,
                        instanceId, sim.now(), obs::TraceArg::Request,
@@ -160,7 +159,6 @@ Instance::landMigration(Request* req)
     }
     sched->add(req);
     sloHeapFix(req);
-    sloNoteExact(req);
     markViewDirty();
     kick();
 }
@@ -205,7 +203,6 @@ Instance::demoteBestEffort(Request* req)
     // The pacing targets just relaxed to the Batch class's: the SLO
     // monitor key must move with them.
     sloHeapFix(req);
-    sloNoteExact(req);
     markViewDirty();
 }
 
@@ -536,23 +533,16 @@ Instance::startLazyStep(Time t0)
         // Open a stretch: it may run until the first member execution
         // that crosses an event.
         TokenCount batch_kv = 0;
-        std::size_t pacing = 0;
-        for (const auto* r : inflight.decode) {
+        for (const auto* r : inflight.decode)
             batch_kv += r->kvTokens();
-            if (r->phase() == Phase::Answering)
-                ++pacing;
-        }
-        if (!sloBumpOnly(pacing))
-            return false;
         const TokenCount left = sched->steadySteps(inflight.decode);
         if (left == 0)
             return false;
         lazyBatch.assign(inflight.decode.begin(), inflight.decode.end());
         lazyLeft = left;
         lazyBatchKv = batch_kv;
-        lazyPacing = pacing;
         lazyCharged = 0;
-    } else if (lazyLeft == 0 || !sloBumpOnly(lazyPacing)) {
+    } else if (lazyLeft == 0) {
         return false; // The next execution crosses an event.
     }
 
@@ -593,8 +583,6 @@ Instance::completeLazyStep(Time step_start)
     stepLog.push_back({step_start, sim.now()});
     decodeTokens += lazyBatch.size();
     ++lazySteps;
-    sloAdvanced = lazyPacing;
-    sloHeapAdvance();
     stepInFlight = false;
     if (!deadlineDeferred.empty())
         drainDeadlineDeferred();
@@ -634,13 +622,8 @@ void
 Instance::completeIteration(Time step_start)
 {
     if (lazyInFlight) {
-        // Members re-keyed exactly mid-step (landings, admissions)
-        // compensate the bump; anything else needs the eager update.
-        if (sloBumpOnly(lazyPacing)) {
-            completeLazyStep(step_start);
-            return;
-        }
-        catchUp();
+        completeLazyStep(step_start);
+        return;
     }
     // The plan stays parked in `inflight` so the steady-state fast
     // path can run it again verbatim; the next startIteration()
@@ -667,32 +650,19 @@ Instance::completeIteration(Time step_start)
         sched->noteExecuted(r);
         // A one-token reasoning phase transitions at its prefill.
         sloHeapFix(r);
-        sloNoteExact(r);
     }
     for (auto* r : plan.decode) {
-        // Steady answering emission: the request was already pacing
-        // (in the heap with its first answer token emitted) and this
-        // token advances its flip bound by exactly one tpot. Those
-        // advances are applied in bulk below (usually a single
-        // per-instance offset bump); only formula switches —
-        // transition, first answer token, finish — re-key eagerly.
-        bool was_pacing =
-            r->sloHeapPos >= 0 && r->firstAnswer >= 0.0;
         r->settleAccrual(now);
         r->emitToken(now, quantum);
         ++decodeTokens;
         sched->noteExecuted(r);
-        if (was_pacing) {
-            if (r->finished())
-                sloHeapErase(r);
-            else
-                ++sloAdvanced;
-        } else {
+        // A steady answering emission only moves the exact key later,
+        // so the stored key stays a lower bound; membership changes
+        // (transition, finish) and the first answering token's
+        // formula switch re-key exactly.
+        if (r->sloHeapPos < 0 || r->finished() || r->answerGenerated() == 1)
             sloHeapFix(r);
-            sloNoteExact(r);
-        }
     }
-    sloHeapAdvance();
 
     auto handle = [&](Request* r) {
         if (r->finished()) {
@@ -845,19 +815,6 @@ Instance::sloHeapErase(Request* r)
 }
 
 void
-Instance::sloNoteExact(Request* r)
-{
-    // Entries keyed exactly against the current offset need
-    // compensation if the offset bumps this iteration; the flag
-    // dedupes (a landing followed by a first decode would otherwise
-    // enter twice and spuriously defeat the bump).
-    if (r->sloHeapPos >= 0 && !r->sloExactPending) {
-        r->sloExactPending = true;
-        sloExactScratch.push_back(r);
-    }
-}
-
-void
 Instance::sloHeapFix(Request* r)
 {
     bool member = r->phase() == Phase::Answering && !r->finished();
@@ -865,7 +822,7 @@ Instance::sloHeapFix(Request* r)
         sloHeapErase(r);
         return;
     }
-    double key = sloKeyOf(r) - sloOffset;
+    double key = sloKeyOf(r);
     if (r->sloHeapPos < 0) {
         ++sloRekeys;
         r->sloKey = key;
@@ -886,66 +843,11 @@ Instance::sloHeapFix(Request* r)
 }
 
 bool
-Instance::sloBumpOnly(std::size_t advanced) const
+Instance::sloAtRiskViolated(std::size_t i, Time now)
 {
-    if (advanced == 0)
-        return true;
-    // Every heap member either advanced one answer token (flip bound
-    // moves by exactly one tpot) or was re-keyed exactly this
-    // iteration. With SLO classes on the per-request tpot targets are
-    // mixed, so a single shared bump is unsound.
-    std::size_t exact_live = 0;
-    for (const auto* r : sloExactScratch) {
-        if (r->sloHeapPos >= 0)
-            ++exact_live;
-    }
-    return !classCfg.enabled && advanced + exact_live == sloHeap.size();
-}
-
-void
-Instance::sloHeapAdvance()
-{
-    if (sloAdvanced > 0) {
-        if (sloBumpOnly(sloAdvanced)) {
-            // Advance the shared offset once and compensate the exact
-            // re-keys, so the steady batch pays O(1) instead of one
-            // sift per member per token; otherwise the Floyd rebuild
-            // below handles every advance exactly.
-            sloOffset += slo.tpotTarget;
-            ++sloRekeys;
-            for (auto* r : sloExactScratch) {
-                if (r->sloHeapPos < 0)
-                    continue;
-                r->sloKey -= slo.tpotTarget;
-                sloHeapSiftUp(static_cast<std::size_t>(r->sloHeapPos));
-            }
-        } else {
-            // Mixed population (some members — preempted or swapped
-            // answering requests — did not advance): recompute every
-            // key against the offset and restore the heap with one
-            // bottom-up (Floyd) pass — O(members), contiguous, no
-            // per-token bookkeeping.
-            for (auto* r : sloHeap)
-                r->sloKey = sloKeyOf(r) - sloOffset;
-            for (std::size_t i = sloHeap.size() / 2; i-- > 0;)
-                sloHeapSiftDown(i);
-            for (std::size_t i = 0; i < sloHeap.size(); ++i)
-                sloHeap[i]->sloHeapPos =
-                    static_cast<std::int32_t>(i);
-            sloRekeys += sloHeap.size();
-        }
-    }
-    sloAdvanced = 0;
-    for (auto* r : sloExactScratch)
-        r->sloExactPending = false;
-    sloExactScratch.clear();
-}
-
-bool
-Instance::sloAtRiskViolated(std::size_t i, Time now) const
-{
-    if (i >= sloHeap.size() || sloHeap[i]->sloKey + sloOffset > now)
+    if (i >= sloHeap.size() || sloHeap[i]->sloKey > now)
         return false; // Heap order prunes the whole subtree.
+    sloDue.push_back(sloHeap[i]);
     if (sloViolated(sloHeap[i], now))
         return true;
     return sloAtRiskViolated(2 * i + 1, now) ||
@@ -955,29 +857,26 @@ Instance::sloAtRiskViolated(std::size_t i, Time now) const
 bool
 Instance::answeringSloOk(Time now, Time* slo_risk_at)
 {
-    // Min-deadline heap: the top key is the earliest time any
-    // answering request's verdict could flip, so the common decision
-    // is a single comparison. Only requests inside their conservative
-    // one-tpot risk window are ever re-checked exactly (the per-
-    // request check itself is exact — the keys only gate when it
-    // runs, and their one-tpot slack dwarfs the offset encoding's
-    // rounding drift).
-    if (sloHeap.empty()) {
-        if (slo_risk_at != nullptr)
-            *slo_risk_at = kTimeInfinity;
-        return true;
-    }
-    double top = sloHeap.front()->sloKey + sloOffset;
-    if (now >= top)
+    // Min-deadline heap: every key is a lower bound on its request's
+    // flip time, so a top key still ahead of now settles the common
+    // decision in one comparison. Otherwise the due requests (key <=
+    // now) are checked exactly (keys only gate when the exact check
+    // runs), and each one visited gets its exact key back.
+    bool ok = true;
+    if (!sloHeap.empty() && sloHeap.front()->sloKey <= now) {
         catchUp(); // The exact check reads token progress.
-    if (now >= top && sloAtRiskViolated(0, now)) {
-        if (slo_risk_at != nullptr)
-            *slo_risk_at = kTimeInfinity; // Sticky until dirty.
-        return false;
+        ok = !sloAtRiskViolated(0, now);
+        for (auto* r : sloDue)
+            sloHeapFix(r);
+        sloDue.clear();
     }
-    if (slo_risk_at != nullptr)
-        *slo_risk_at = top;
-    return true;
+    if (slo_risk_at != nullptr) {
+        // A false verdict is sticky until an instance event.
+        *slo_risk_at = kTimeInfinity;
+        if (ok && !sloHeap.empty())
+            *slo_risk_at = sloHeap.front()->sloKey;
+    }
+    return ok;
 }
 
 bool
@@ -1026,16 +925,13 @@ Instance::verifySloHeap(Time now)
                   std::to_string(r->id()) + " on instance " +
                   std::to_string(instanceId));
         }
-        // The offset encoding trades bit-exact keys for O(1) steady
-        // advances; the drift is bounded by summation rounding, far
-        // inside the key's built-in one-tpot conservatism.
-        double drift = (r->sloKey + sloOffset) - sloKeyOf(r);
-        if (drift > 0.25 * tpotOf(r) ||
-            drift < -0.25 * tpotOf(r)) {
-            panic("SLO heap key stale for request " +
+        // Stored keys may lag (steady emissions leave them behind)
+        // but must never pass the exact flip key.
+        if (r->sloKey > sloKeyOf(r)) {
+            panic("SLO heap key above its flip bound for request " +
                   std::to_string(r->id()) + " on instance " +
-                  std::to_string(instanceId) + " (drift " +
-                  std::to_string(drift) + ")");
+                  std::to_string(instanceId) + " (ahead by " +
+                  std::to_string(r->sloKey - sloKeyOf(r)) + ")");
         }
     }
     if (members != sloHeap.size()) {
@@ -1052,11 +948,7 @@ Instance::verifySloHeap(Time now)
     Time scan_risk = kTimeInfinity;
     bool heap_ok = answeringSloOk(now, &heap_risk);
     bool scan_ok = answeringSloOkScan(now, &scan_risk);
-    bool risk_close =
-        heap_risk == scan_risk ||
-        (heap_risk - scan_risk < 0.25 * slo.tpotTarget &&
-         scan_risk - heap_risk < 0.25 * slo.tpotTarget);
-    if (heap_ok != scan_ok || !risk_close) {
+    if (heap_ok != scan_ok || heap_risk > scan_risk) {
         panic("SLO heap verdict diverged from reference walk on "
               "instance " +
               std::to_string(instanceId) + " at t=" +

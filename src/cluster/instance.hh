@@ -205,9 +205,12 @@ class Instance
 
     /**
      * Paper t_i: all answering requests are keeping the user's
-     * expected pace (token pacer not starved). Catches the lazy batch
-     * up first when a request is inside its risk window (the exact
-     * check reads token progress).
+     * expected pace (token pacer not starved). The SLO heap's keys
+     * are lower bounds on each request's flip time, so a top key
+     * still ahead of @p now answers in O(1). Otherwise the lazy batch
+     * catches up (the exact check reads token progress), every due
+     * request (key <= now) is checked exactly until one fails, and
+     * each due key visited is then raised to its exact value.
      *
      * @param slo_risk_at Optional out-param: earliest time a *true*
      *        verdict could flip to false with no further state change
@@ -295,8 +298,9 @@ class Instance
     /** Non-reused boundaries that fell through to the O(material)
      *  buildPlan walk: numPlanBuilds() - numPlanRepairs(). */
     std::uint64_t numFullWalks() const { return planBuilds - planRepairs; }
-    /** SLO-heap re-key operations (emission / admission / landing /
-     *  removal fixups). */
+    /** Exact SLO-heap key (re)computations: inserts, formula
+     *  switches (first answering token, demotion) and due keys that
+     *  answeringSloOk raised. Steady emissions re-key nothing. */
     std::uint64_t numSloHeapRekeys() const { return sloRekeys; }
     /** Steps that ran lazily: logged instead of walking the batch. */
     std::uint64_t numLazySteps() const { return lazySteps; }
@@ -338,10 +342,12 @@ class Instance
 
     /**
      * Debug hook (cluster view audits): recompute every hosted
-     * request's SLO-heap membership and key from scratch and panic on
-     * any divergence from the maintained heap, then cross-check the
+     * request's SLO-heap membership from scratch, check every stored
+     * key is a lower bound on its exact flip key and the heap order
+     * holds, and panic on any divergence; then cross-check the
      * heap-based answeringSloOk verdict against the reference
-     * O(hosted) walk at @p now.
+     * O(hosted) walk at @p now (same verdict, heap risk no later than
+     * the walk's).
      */
     void verifySloHeap(Time now);
 
@@ -351,15 +357,14 @@ class Instance
 
     /**
      * Run the reused lineage plan as a lazy step starting at @p t0, if
-     * it qualifies: inside the stretch's event bound and with an SLO
-     * update that is the uniform offset bump (or nothing). O(1) except
-     * when it opens a stretch (O(batch) bounds). Schedules the
-     * completion and returns true; false means run the step eagerly.
+     * it is inside the stretch's event bound. O(1) except when it
+     * opens a stretch (O(batch) bounds). Schedules the completion and
+     * returns true; false means run the step eagerly.
      */
     bool startLazyStep(Time t0);
 
     /** Completion of a lazy step: log it and do the O(1) aggregate
-     *  work (decode counter, SLO offset bump). */
+     *  work (decode counter). */
     void completeLazyStep(Time step_start);
 
     /** Shared admission body (exec/home/accrual/scheduler/SLO heap). */
@@ -476,13 +481,16 @@ class Instance
     /** @name Min-deadline SLO heap (see answeringSloOk)
      *
      * Intrusive binary min-heap over the hosted answering requests,
-     * keyed by the earliest time each one's TPOT/TTFAT verdict could
-     * flip (Request::sloKey; position in Request::sloHeapPos). The
-     * paper's t_i monitor check then peeks the heap top in O(1)
-     * instead of walking every hosted request on each dirty snapshot
-     * refresh. Keys move only with token progress or membership —
-     * emission, phase transition, admission, landing, detach, finish
-     * — so plan application (swaps) never re-keys.
+     * keyed by a lower bound on the earliest time each one's
+     * TPOT/TTFAT verdict could flip (Request::sloKey; position in
+     * Request::sloHeapPos). The paper's t_i monitor check then peeks
+     * the heap top in O(1) instead of walking every hosted request on
+     * each dirty snapshot refresh. A pacing request's exact key only
+     * grows with its token progress, so a key set once stays a lower
+     * bound: keys are set exactly at insertion (admission, landing,
+     * transition) and formula switches (first answering token,
+     * demotion) and raised when they come due, never per emitted
+     * token; finish and detach remove.
      */
     /** @{ */
 
@@ -493,44 +501,26 @@ class Instance
     /** Effective per-request TTFAT target (same selection rule). */
     Time ttfatOf(const workload::Request* r) const;
 
-    /** Conservative flip-time key for an answering request (exact
-     *  formula shared with the reference walk). */
+    /** Exact conservative flip-time key for an answering request
+     *  (formula shared with the reference walk); Request::sloKey
+     *  never exceeds it. */
     double sloKeyOf(const workload::Request* r) const;
 
     /** Exact verdict for one request at @p now (shared with the
      *  reference walk). */
     bool sloViolated(const workload::Request* r, Time now) const;
 
-    /** Membership + key fixup after any event that can move them. */
+    /** Membership fixup, setting the key exactly (sloKeyOf). */
     void sloHeapFix(workload::Request* r);
-
-    /** Record an exactly-keyed heap entry for offset compensation
-     *  (deduped via Request::sloExactPending). */
-    void sloNoteExact(workload::Request* r);
-
-    /**
-     * Bulk per-iteration key advance: when every heap member either
-     * emitted one answer token (flip bound += exactly one tpot) or
-     * was exactly re-keyed this iteration, a single bump of sloOffset
-     * advances the whole heap in O(1) (the exact re-keys are
-     * compensated); otherwise the advanced members are re-keyed
-     * individually. Consumes the two scratch lists the emission loop
-     * filled.
-     */
-    void sloHeapAdvance();
-
-    /** sloHeapAdvance() with @p advanced members advancing one answer
-     *  token takes the O(1) offset bump (or has nothing to do): it
-     *  reads no member's progress. */
-    bool sloBumpOnly(std::size_t advanced) const;
 
     void sloHeapErase(workload::Request* r);
     void sloHeapSiftUp(std::size_t i);
     void sloHeapSiftDown(std::size_t i);
 
     /** DFS over the heap's {key <= now} rooted subtree, exactly
-     *  re-checking each at-risk request. */
-    bool sloAtRiskViolated(std::size_t i, Time now) const;
+     *  re-checking each due request until one fails; records every
+     *  visited request in sloDue for answeringSloOk to re-key. */
+    bool sloAtRiskViolated(std::size_t i, Time now);
 
     /** Reference O(hosted) implementation of answeringSloOk (kept
      *  for audits and tests; shares sloKeyOf/sloViolated). */
@@ -538,22 +528,9 @@ class Instance
 
     std::vector<workload::Request*> sloHeap;
 
-    /**
-     * Shared key offset: stored keys are relative (real flip bound =
-     * Request::sloKey + sloOffset), so the dominant steady decode
-     * iteration — every answering request advances one token, every
-     * flip bound moves one tpot — is one addition instead of one
-     * sift per batch member. The encoding's rounding drift is bounded
-     * far inside the key's built-in one-tpot conservatism (the exact
-     * per-request check never consults keys).
-     */
-    double sloOffset = 0.0;
-
-    /** Per-iteration bookkeeping for sloHeapAdvance: how many
-     *  members advanced one answer token, and which were exactly
-     *  re-keyed (inserts / formula switches). */
-    std::size_t sloAdvanced = 0;
-    std::vector<workload::Request*> sloExactScratch;
+    /** Due requests the last DFS visited (re-keyed after the walk,
+     *  which must not move heap entries under it). */
+    std::vector<workload::Request*> sloDue;
 
     std::uint64_t sloRekeys = 0;
 
@@ -587,9 +564,10 @@ class Instance
      * While the lineage plan reruns verbatim, a stretch of steps that
      * cross no member event runs without touching the batch: each step
      * charges the blocks its batch opens (from the lineage histogram),
-     * bumps the SLO-heap offset and the counters, and appends its
-     * (start, end) to the step log. Members replay the log at the next
-     * catch-up.
+     * bumps the counters, and appends its (start, end) to the step
+     * log. Members replay the log at the next catch-up. Their SLO-heap
+     * keys stay put: a stretch crosses no formula switch, so each
+     * stays a lower bound.
      */
     /** @{ */
 
@@ -611,10 +589,6 @@ class Instance
     /** The batch's summed kvTokens() at the next lazy step's start:
      *  every step grows it by exactly the batch size. */
     TokenCount lazyBatchKv = 0;
-
-    /** Answering members of the stretch (each advances its SLO-heap
-     *  key by one tpot per step). */
-    std::size_t lazyPacing = 0;
 
     /** GPU growth the stretch charged; the slots' settled growth must
      *  add up to it at the catch-up. */

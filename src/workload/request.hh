@@ -429,14 +429,12 @@ class Request
      */
     std::int32_t sloHeapPos = -1;
 
-    /** Cached conservative flip-time key for the SLO heap, relative
-     *  to the instance's shared offset (valid while sloHeapPos >=
-     *  0). */
+    /** SLO-heap key (valid while sloHeapPos >= 0): a lower bound on
+     *  the earliest time the request's verdict could flip. Set
+     *  exactly at membership changes and formula switches and raised
+     *  when it comes due (see Instance::answeringSloOk); steady
+     *  emissions leave it behind the exact bound. */
     double sloKey = 0.0;
-
-    /** Already recorded for offset compensation this iteration (see
-     *  Instance::sloNoteExact). */
-    bool sloExactPending = false;
 
     /** Index of the owning RequestArena chunk inside the Cluster's
      *  arena (-1 outside a cluster run); drives chunk recycling. */

@@ -203,24 +203,59 @@ TEST_F(LazyStep, DeclineCountersSumToNonReusedBoundaries)
     }
 }
 
-TEST_F(LazyStep, AtRiskSnapshotCatchesUp)
+/** What the lazy run's at-risk probes saw (expectProbeGridIdentical). */
+struct ProbeTally
 {
-    // The monitor's exact check reads answering progress. Probe the
-    // t_i verdict over a look-ahead grid while answering members pace
-    // close to a tight TPOT target: a lagging batch would flip the
-    // verdict early.
-    SystemConfig cfg = steadyConfig();
-    cfg.slo.tpotTarget = 0.03;
-    cfg.slo.monitorBufferMarginTokens = 4;
-    auto trace = steadyTrace(6, 0.2, 300, 900);
+    /** Probes that found a stretch open and settled it. */
+    std::uint64_t catchups = 0;
+    /** Probes that found a stretch open with an answering member in
+     *  its batch. */
+    std::uint64_t answeringLazy = 0;
+    /** Those of answeringLazy during which another answering request
+     *  sat swapped out. */
+    std::uint64_t answeringLazySwapped = 0;
+};
+
+/**
+ * Probe instance 0's t_i verdict every 0.9 s of [@p from, @p to), each
+ * time over a 4 s look-ahead grid, in the lazy run and its forceStep
+ * twin. The grids must straddle verdict flips and agree, and the runs
+ * must be byte-identical. The monitor's exact check reads answering
+ * progress, so a lagging batch would flip a verdict early.
+ */
+ProbeTally
+expectProbeGridIdentical(const SystemConfig& cfg,
+                         const workload::Trace& trace, Time from, Time to)
+{
     std::vector<std::vector<int>> verdicts[2];
-    std::uint64_t probe_catchups = 0;
+    ProbeTally tally;
     auto script = [&](RunContext& ctx, bool eager) {
         cluster::Cluster& cl = ctx.cluster();
-        for (Time t = 5.0; t < 36.0; t += 0.9) {
+        for (Time t = from; t < to; t += 0.9) {
             ctx.simulator().at(t, [&, eager, t] {
                 cluster::Instance& inst = *cl.getInstances()[0];
                 std::size_t pending = inst.numPendingSteps();
+                if (!eager && pending > 0) {
+                    // Batch members are the GPU residents stamped
+                    // Executed (the accrual audit's rule).
+                    bool batched = false;
+                    bool swapped = false;
+                    for (const auto* r : inst.scheduler().hosted()) {
+                        if (r->phase() != workload::Phase::Answering)
+                            continue;
+                        if (r->exec == workload::ExecState::SwappedCpu)
+                            swapped = true;
+                        else if (r->exec ==
+                                     workload::ExecState::ResidentGpu &&
+                                 r->accrualKind ==
+                                     workload::BucketKind::Executed)
+                            batched = true;
+                    }
+                    if (batched)
+                        ++tally.answeringLazy;
+                    if (batched && swapped)
+                        ++tally.answeringLazySwapped;
+                }
                 std::vector<int> row;
                 for (Time d = 0.0; d < 4.0; d += 0.02) {
                     Time risk = 0.0;
@@ -229,13 +264,12 @@ TEST_F(LazyStep, AtRiskSnapshotCatchesUp)
                 }
                 verdicts[eager ? 1 : 0].push_back(row);
                 if (!eager && pending > 0 && inst.numPendingSteps() == 0)
-                    ++probe_catchups;
+                    ++tally.catchups;
             });
         }
     };
     RunResult lazy = runWith(cfg, trace, false, script);
     RunResult eager = runWith(cfg, trace, true, script);
-    EXPECT_GT(probe_catchups, 10u) << "probes missed the stretches";
     int flips = 0;
     for (const auto& row : verdicts[1]) {
         for (std::size_t i = 1; i < row.size(); ++i)
@@ -244,6 +278,104 @@ TEST_F(LazyStep, AtRiskSnapshotCatchesUp)
     EXPECT_GT(flips, 10) << "the grid never straddles a verdict flip";
     EXPECT_EQ(verdicts[0], verdicts[1]);
     test::expectIdentical(lazy, eager);
+    return tally;
+}
+
+/** SLO classes on with mixed per-class TPOT targets and no deadline
+ *  or admission control, over a trace that cycles the three classes. */
+void
+mixedClassTargets(SystemConfig& cfg, workload::Trace& trace,
+                  double scale = 1.0)
+{
+    cfg.sloClasses.enabled = true;
+    cfg.sloClasses.enforceDeadlines = false;
+    cfg.sloClasses.overloadControl = false;
+    const Time tpot[] = {0.03, 0.04, 0.05};
+    for (std::size_t c = 0; c < workload::kNumSloClasses; ++c)
+        cfg.sloClasses.classes[c].tpotTarget = scale * tpot[c];
+    const workload::SloClass order[] = {workload::SloClass::Interactive,
+                                        workload::SloClass::Standard,
+                                        workload::SloClass::Batch};
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        trace.requests[i].sloClass = order[i % 3];
+}
+
+TEST_F(LazyStep, AtRiskSnapshotCatchesUp)
+{
+    // Answering members pace close to a tight global TPOT target.
+    SystemConfig cfg = steadyConfig();
+    cfg.slo.tpotTarget = 0.03;
+    cfg.slo.monitorBufferMarginTokens = 4;
+    auto trace = steadyTrace(6, 0.2, 300, 900);
+    ProbeTally tally = expectProbeGridIdentical(cfg, trace, 5.0, 36.0);
+    EXPECT_GT(tally.catchups, 10u) << "probes missed the stretches";
+    EXPECT_GT(tally.answeringLazy, 0u);
+}
+
+TEST_F(LazyStep, AtRiskSnapshotUnderSloClasses)
+{
+    // Per-class TPOT targets differ, so SLO-heap keys advance at
+    // different rates; stretches still run with answering members
+    // because steady emissions never re-key.
+    SystemConfig cfg = steadyConfig();
+    cfg.slo.monitorBufferMarginTokens = 4;
+    auto trace = steadyTrace(6, 0.2, 300, 900);
+    mixedClassTargets(cfg, trace);
+    ProbeTally tally = expectProbeGridIdentical(cfg, trace, 5.0, 36.0);
+    EXPECT_GT(tally.catchups, 10u) << "probes missed the stretches";
+    EXPECT_GT(tally.answeringLazy, 0u)
+        << "no stretch ran with an answering member";
+}
+
+/** KV pressure that swaps answering requests out, under mixed class
+ *  targets loose enough that a swapped request can recover its pace
+ *  (so the verdict flips both ways). */
+SystemConfig
+swappedAnsweringConfig(workload::Trace& trace)
+{
+    SystemConfig cfg = steadyConfig();
+    cfg.gpuKvCapacityTokens = 3072;
+    cfg.slo.monitorBufferMarginTokens = 4;
+    trace = steadyTrace(6, 0.2, 200, 900);
+    mixedClassTargets(cfg, trace, 3.0);
+    return cfg;
+}
+
+TEST_F(LazyStep, AtRiskSnapshotWithSwappedAnswering)
+{
+    // Answering requests wait swapped out while the batch's answering
+    // members run a stretch: the heap holds members that do not
+    // advance, and the verdict must still match the eager twin.
+    workload::Trace trace;
+    SystemConfig cfg = swappedAnsweringConfig(trace);
+    ProbeTally tally = expectProbeGridIdentical(cfg, trace, 5.0, 60.0);
+    EXPECT_GT(tally.answeringLazySwapped, 0u)
+        << "no stretch ran beside a swapped answering request";
+}
+
+TEST_F(LazyStep, SloRekeysStayBelowIterations)
+{
+    // Steady emissions leave SLO-heap keys behind as lower bounds, so
+    // keys are computed per membership change, formula switch or due
+    // key, not per member per iteration: even with answering requests
+    // swapped out (heap members that do not advance) the count stays
+    // below the iteration count. Global targets, so the swaps are the
+    // only mixed-advance source.
+    workload::Trace trace;
+    SystemConfig cfg = swappedAnsweringConfig(trace);
+    cfg.sloClasses.enabled = false;
+    RunResult r = runWith(cfg, trace, false, nullptr);
+    const obs::StatValue* rekeys =
+        obs::findStat(r.statsDump, "instance.0.slo.rekeys");
+    const obs::StatValue* iterations =
+        obs::findStat(r.statsDump, "instance.0.engine.iterations");
+    const obs::StatValue* swaps =
+        obs::findStat(r.statsDump, "instance.0.engine.swap_outs");
+    ASSERT_NE(rekeys, nullptr);
+    ASSERT_NE(iterations, nullptr);
+    ASSERT_NE(swaps, nullptr);
+    EXPECT_GT(swaps->value, 0.0);
+    EXPECT_LT(rekeys->value, iterations->value);
 }
 
 TEST_F(LazyStep, PredictiveSnapshotCatchesUp)
@@ -300,8 +432,8 @@ TEST_F(LazyStep, DeadlineExpiryMidStretch)
 {
     // A deadline that fires while a lazy step is in flight is parked
     // and enforced at the boundary, through detach (fail) or
-    // demoteBestEffort (demote) — both settle the stretch first. With
-    // classes on only all-reasoning batches run lazily.
+    // demoteBestEffort (demote) — both settle the stretch first.
+    // Classes on leave stretches free to batch answering members.
     for (bool demote : {false, true}) {
         SCOPED_TRACE(demote ? "demote" : "fail");
         SystemConfig cfg = steadyConfig();
