@@ -304,16 +304,20 @@ IntraScheduler::noteExecuted(workload::Request* req)
         req->quantaConsumed != req->schedCachedQuanta;
     req->schedCachedQuanta = req->quantaConsumed;
     syncCounters(req);
-    // Keyed policies re-key every executed request (progress moves
-    // the predicted remaining work); the rest only on a quantum
-    // rollover or on leaving the high queue (the </think> token or a
-    // completion). Nothing ever moves from the low queue to the high.
-    const bool keyed = keysUsePredictions();
-    if (keyed)
+    // A request is re-keyed on a quantum rollover, on leaving the
+    // high queue (the </think> token or a completion), and, under a
+    // keyed policy whose predictor's score tracks progress (predicted
+    // remaining work), on every execution. A score that moves only
+    // when the predictor learns (the rank predictor's bucket win
+    // rate) is re-keyed for every hosted request by the next plan
+    // instead: patchPlan() declines reuse on predictorMoved(). Nothing
+    // ever moves from the low queue to the high.
+    const bool rescore = keysTrackProgress();
+    if (rescore)
         req->schedScore = rankScore(req);
     const bool high = req->schedQueueTag == kHighTag;
     const bool leaves_high = high && !isHigh(req);
-    if (keyed || quanta_changed || leaves_high)
+    if (rescore || quanta_changed || leaves_high)
         requeue(req, leaves_high ? kLowTag : req->schedQueueTag);
     if (high && !leaves_high)
         deferDecision(req);
@@ -387,6 +391,13 @@ IntraScheduler::scanFreshAnswering() const
         }
     }
     return n;
+}
+
+bool
+IntraScheduler::keysTrackProgress() const
+{
+    return keysUsePredictions() && lengthPredictor != nullptr &&
+           lengthPredictor->rankTracksProgress();
 }
 
 bool
@@ -491,7 +502,7 @@ TokenCount
 IntraScheduler::steadySteps(
     const std::vector<workload::Request*>& batch) const
 {
-    if (keysUsePredictions())
+    if (keysTrackProgress())
         return 0;
     const TokenCount window = deferWindowStart();
     TokenCount steps = std::numeric_limits<TokenCount>::max();

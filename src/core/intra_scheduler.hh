@@ -281,8 +281,9 @@ class IntraScheduler
      * (</think>, first answering token, finish, quantum rollover) and
      * leaves noteExecuted() with nothing to do (no re-key, counter
      * move, or deferred decision). 0 means the very next execution is
-     * not steady. Keyed policies re-key every execution, so nothing is
-     * steady under them. Incremental mode only.
+     * not steady. Nothing is steady under a keyed policy whose
+     * predictor's score tracks progress (keysTrackProgress()): it
+     * re-keys every execution. Incremental mode only.
      */
     TokenCount
     steadySteps(const std::vector<workload::Request*>& batch) const;
@@ -308,9 +309,11 @@ class IntraScheduler
     /**
      * Instance notification: @p req just emitted a token (or finished
      * prefill) in the iteration being completed. Updates the
-     * maintained counters, re-keys it if its quanta, score or queue
-     * moved, and offers it to deferDecision(). No-op in recompute
-     * mode.
+     * maintained counters, re-keys it if its quanta or queue moved or
+     * its score tracks progress (keysTrackProgress()), and offers it
+     * to deferDecision(). A score that moves only with the predictor
+     * version is re-keyed by the next plan, which a version bump
+     * always forces. No-op in recompute mode.
      */
     void noteExecuted(workload::Request* req);
 
@@ -547,6 +550,11 @@ class IntraScheduler
     /** Predictor version() changed since the last buildPlan (only
      *  meaningful when keysUsePredictions()). */
     bool predictorMoved() const;
+
+    /** Keyed policy whose predictor's rank score moves with the
+     *  request's own progress (LengthPredictor::rankTracksProgress):
+     *  every execution re-keys, so no step is steady. */
+    bool keysTrackProgress() const;
 
     /**
      * Shared greedy selection over two priority ranges (the capped

@@ -15,11 +15,14 @@
  * from the predictions, so quantum accounting is disabled.
  *
  * SRPT is the shared planner keyed by the predictor: the score level of
- * SchedOrder is the rank score, and every executed request is re-keyed
- * each iteration (no verbatim plan reuse), but idle requests keep
- * their cached score: the repair is O(batch log batch) instead of
- * O(hosted log hosted), and a predictor version bump (an online
- * learner updating its state) re-keys everything. Candidates that do
+ * SchedOrder is the rank score. Under a length predictor every
+ * executed request is re-keyed each iteration (no verbatim plan
+ * reuse), but idle requests keep their cached score: the repair is
+ * O(batch log batch) instead of O(hosted log hosted). A predictor
+ * version bump (an online learner updating its state) re-keys
+ * everything; under the rank predictor, whose score does not move
+ * with progress, that is the only re-key, so steady decode reuses
+ * plans and runs lazily. Candidates that do
  * not fit are skipped: a long request must not block the shorter ones
  * behind it (that would re-create FCFS blocking).
  */

@@ -120,13 +120,24 @@ class LengthPredictor
      * returns a win-rate score in [0, 1] that orders requests without
      * committing to a length. Only the *ordering* is meaningful across
      * requests of one predictor; scores from different predictors are
-     * not comparable.
+     * not comparable. Moves with the request's own progress exactly
+     * when rankTracksProgress(); otherwise only with version().
      */
     virtual double
     rankScore(const workload::Request& req) const
     {
         return predictRemainingTokens(req);
     }
+
+    /**
+     * True if rankScore() of an unfinished request may change when
+     * the request itself progresses (a token, the </think>
+     * transition), with version() unchanged. A fixed property of the
+     * predictor class: length-based scores shrink as work is done;
+     * the rank predictor's bucket win rate does not. Schedulers keyed
+     * by rankScore() re-key an executed request only when this holds.
+     */
+    virtual bool rankTracksProgress() const { return true; }
 
     /** Online learning hook: @p req just generated its final token. */
     virtual void observeCompletion(const workload::Request& req)
@@ -139,9 +150,11 @@ class LengthPredictor
      * internal state — and therefore its predictions for requests
      * that did not themselves progress — may have changed. Schedulers
      * whose ordering keys come from predictions (SRPT, PASCAL-Spec)
-     * re-key every hosted request when it moves. Stateless predictors
-     * (oracle, noisy oracle) never bump it: their estimates are pure
-     * functions of the request's own progress.
+     * re-key every hosted request when it moves; under a predictor
+     * whose rankScore() does not track progress this is the only
+     * re-key they need. Stateless predictors (oracle, noisy oracle)
+     * never bump it: their estimates are pure functions of the
+     * request's own progress.
      */
     std::uint64_t version() const { return versionCounter; }
 

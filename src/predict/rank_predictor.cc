@@ -36,17 +36,12 @@ PairwiseRankPredictor::PairwiseRankPredictor(int warmup_comparisons)
     : warmup(warmup_comparisons)
 {}
 
-std::string
-PairwiseRankPredictor::bucketKey(const workload::RequestSpec& spec)
-{
-    return spec.dataset + "/p" +
-           std::to_string(promptBucket(spec.promptTokens));
-}
-
 const PairwiseRankPredictor::Bucket*
 PairwiseRankPredictor::find(const workload::Request& req) const
 {
-    auto it = buckets.find(bucketKey(req.spec()));
+    const workload::RequestSpec& spec = req.spec();
+    auto it = buckets.find(
+        BucketRef{spec.dataset, promptBucket(spec.promptTokens)});
     return it == buckets.end() ? nullptr : &it->second;
 }
 
@@ -74,9 +69,8 @@ PairwiseRankPredictor::rankScore(const workload::Request& req) const
 }
 
 double
-PairwiseRankPredictor::meanReasoning(const workload::Request& req) const
+PairwiseRankPredictor::meanReasoning(const Bucket* bucket) const
 {
-    const Bucket* bucket = find(req);
     if (bucket != nullptr && bucket->reasoningCompletions > 0) {
         return bucket->sumReasoning /
                static_cast<double>(bucket->reasoningCompletions);
@@ -88,9 +82,8 @@ PairwiseRankPredictor::meanReasoning(const workload::Request& req) const
 }
 
 double
-PairwiseRankPredictor::meanAnswer(const workload::Request& req) const
+PairwiseRankPredictor::meanAnswer(const Bucket* bucket) const
 {
-    const Bucket* bucket = find(req);
     if (bucket != nullptr && bucket->completions > 0) {
         return bucket->sumAnswer /
                static_cast<double>(bucket->completions);
@@ -101,15 +94,22 @@ PairwiseRankPredictor::meanAnswer(const workload::Request& req) const
 }
 
 double
-PairwiseRankPredictor::predictRemainingReasoningTokens(
-    const workload::Request& req) const
+PairwiseRankPredictor::remainingReasoning(const workload::Request& req,
+                                          const Bucket* bucket) const
 {
     if (req.spec().startInAnswering ||
         req.phase() != workload::Phase::Reasoning) {
         return 0.0;
     }
     double generated = static_cast<double>(req.reasoningGenerated());
-    return std::max(meanReasoning(req) - generated, 1.0);
+    return std::max(meanReasoning(bucket) - generated, 1.0);
+}
+
+double
+PairwiseRankPredictor::predictRemainingReasoningTokens(
+    const workload::Request& req) const
+{
+    return remainingReasoning(req, find(req));
 }
 
 double
@@ -119,11 +119,13 @@ PairwiseRankPredictor::predictRemainingTokens(
     switch (req.phase()) {
       case workload::Phase::Finished:
         return 0.0;
-      case workload::Phase::Reasoning:
-        return predictRemainingReasoningTokens(req) + meanAnswer(req);
+      case workload::Phase::Reasoning: {
+        const Bucket* bucket = find(req);
+        return remainingReasoning(req, bucket) + meanAnswer(bucket);
+      }
       case workload::Phase::Answering: {
         double generated = static_cast<double>(req.answerGenerated());
-        return std::max(meanAnswer(req) - generated, 1.0);
+        return std::max(meanAnswer(find(req)) - generated, 1.0);
       }
     }
     return 0.0;
@@ -134,17 +136,21 @@ PairwiseRankPredictor::observeCompletion(const workload::Request& req)
 {
     bumpVersion(); // Win rates move: downstream keys must re-rank.
     const workload::RequestSpec& spec = req.spec();
-    const std::string key = bucketKey(spec);
     double total = static_cast<double>(req.totalToGenerate());
 
-    // std::map references are stable across the insertion below.
-    Bucket& bucket = buckets[key];
+    // std::map references are stable across later insertions.
+    Bucket& bucket =
+        buckets
+            .try_emplace(
+                BucketKey{spec.dataset, promptBucket(spec.promptTokens)})
+            .first->second;
 
     // Play the completion against every *other* bucket's reservoir:
     // the shorter total generation wins; ties charge both a game but
     // award no win.
-    for (auto& [other_key, other] : buckets) {
-        if (other_key == key)
+    for (auto& entry : buckets) {
+        Bucket& other = entry.second;
+        if (&other == &bucket)
             continue;
         for (double opponent : other.reservoir) {
             ++bucket.games;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/predict/predictor.hh"
@@ -47,6 +48,10 @@ class PairwiseRankPredictor : public LengthPredictor
      *  Neutral 0.5 for unwarmed buckets; 0 for finished requests. */
     double rankScore(const workload::Request& req) const override;
 
+    /** The bucket is fixed by the spec, so the score moves only when
+     *  the predictor learns (version()). */
+    bool rankTracksProgress() const override { return false; }
+
     double predictRemainingTokens(
         const workload::Request& req) const override;
 
@@ -56,9 +61,6 @@ class PairwiseRankPredictor : public LengthPredictor
     /** Plays the finished request against every other bucket's
      *  reservoir and records its realized lengths. */
     void observeCompletion(const workload::Request& req) override;
-
-    /** Feature-bucket key for @p spec (tests/diagnostics). */
-    static std::string bucketKey(const workload::RequestSpec& spec);
 
     /** Win rate of the bucket @p req falls into (0.5 if unwarmed). */
     double winRate(const workload::Request& req) const;
@@ -84,15 +86,51 @@ class PairwiseRankPredictor : public LengthPredictor
         std::size_t reservoirNext = 0;
     };
 
+    /** A bucket's features: source dataset and log2 prompt length. */
+    struct BucketKey
+    {
+        std::string dataset;
+        int promptLog2 = 0;
+    };
+
+    /** The same features borrowed from a spec: lookups build no
+     *  string. */
+    struct BucketRef
+    {
+        std::string_view dataset;
+        int promptLog2 = 0;
+    };
+
+    /** Transparent (dataset, promptLog2) order over both forms. */
+    struct BucketLess
+    {
+        using is_transparent = void;
+
+        template <typename A, typename B>
+        bool
+        operator()(const A& a, const B& b) const
+        {
+            const int c = std::string_view(a.dataset).compare(b.dataset);
+            return c != 0 ? c < 0 : a.promptLog2 < b.promptLog2;
+        }
+    };
+
+    /** @p req's bucket, or nullptr while it has no completion yet
+     *  (resolved per call, so a later completion is picked up). */
     const Bucket* find(const workload::Request& req) const;
-    double meanReasoning(const workload::Request& req) const;
-    double meanAnswer(const workload::Request& req) const;
+    /** Length means of @p bucket, falling back to the global means
+     *  and then the priors when it has no sample. */
+    double meanReasoning(const Bucket* bucket) const;
+    double meanAnswer(const Bucket* bucket) const;
+    double remainingReasoning(const workload::Request& req,
+                              const Bucket* bucket) const;
 
     int warmup;
 
-    /** std::map keyed by bucket string: deterministic iteration, so
-     *  pairwise game order is a pure function of completion order. */
-    std::map<std::string, Bucket> buckets;
+    /** std::map: deterministic iteration, so pairwise game order is
+     *  a pure function of completion order (the outcomes are integer
+     *  counts, so the order itself never changes a score). */
+    std::map<BucketKey, Bucket, BucketLess> buckets;
 
     /** Global length means (fallback for unseen buckets). */
     double globalSumReasoning = 0.0;

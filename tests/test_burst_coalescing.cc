@@ -91,6 +91,8 @@ predictorNamed(const std::string& kind)
         cfg.type = predict::PredictorType::Oracle;
     else if (kind == "profile")
         cfg.type = predict::PredictorType::Profile;
+    else if (kind == "rank")
+        cfg.type = predict::PredictorType::Rank;
     return cfg;
 }
 
@@ -111,7 +113,7 @@ TEST_F(BurstCoalescing, ByteIdenticalAcrossSchedulerPredictorGrid)
     }
     for (SchedulerType sched :
          {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
-        for (const char* kind : {"oracle", "profile"})
+        for (const char* kind : {"oracle", "profile", "rank"})
             grid.push_back({sched, kind});
     }
     for (const auto& point : grid) {

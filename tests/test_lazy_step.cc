@@ -172,6 +172,61 @@ TEST_F(LazyStep, SteadyRunIsMostlyLazyAndIdentical)
     EXPECT_GT(lazy0->value, 4.0 * catchups->value);
 }
 
+TEST_F(LazyStep, RankKeyedPoliciesReuseAndStepLazily)
+{
+    // The rank predictor's score is a bucket win rate: it moves when
+    // the predictor learns (a version bump, which the next boundary
+    // turns into a full walk), never with a request's own progress.
+    // So the policies keyed on it reuse plans and step lazily, and
+    // must stay byte-identical to their eager twin and to the
+    // all-force recompute twin. The oracle's score is the remaining
+    // work, which every token moves: none of its steps is steady.
+    auto trace = steadyTrace(24, 0.5);
+    struct Row
+    {
+        SchedulerType sched;
+        predict::PredictorType predictor;
+        bool steady;
+    };
+    for (const Row& row :
+         {Row{SchedulerType::PascalSpec, predict::PredictorType::Rank,
+              true},
+          Row{SchedulerType::Srpt, predict::PredictorType::Rank, true},
+          Row{SchedulerType::PascalSpec, predict::PredictorType::Oracle,
+              false}}) {
+        SCOPED_TRACE("scheduler " +
+                     std::to_string(static_cast<int>(row.sched)) +
+                     " predictor " +
+                     std::to_string(static_cast<int>(row.predictor)));
+        SystemConfig cfg = steadyConfig(2);
+        cfg.scheduler = row.sched;
+        cfg.predictor.type = row.predictor;
+        RunResult lazy = runWith(cfg, trace, false, nullptr);
+        test::expectIdentical(lazy, runWith(cfg, trace, true, nullptr));
+        SystemConfig forced = cfg;
+        forced.limits.forcePerArrivalKick = true;
+        forced.forceViewRebuild = true;
+        forced.limits.forceResort = true;
+        forced.limits.forceAccrue = true;
+        forced.limits.forcePlanRepair = true;
+        forced.limits.forceStep = true;
+        test::expectIdentical(lazy, RunContext::execute(forced, trace));
+
+        const obs::StatValue* reuses =
+            obs::findStat(lazy.statsDump, "instance.0.plan.reuses");
+        const obs::StatValue* lazy0 =
+            obs::findStat(lazy.statsDump, "instance.0.engine.lazy_steps");
+        ASSERT_NE(reuses, nullptr);
+        ASSERT_NE(lazy0, nullptr);
+        if (row.steady) {
+            EXPECT_GT(reuses->value, 0.0);
+            EXPECT_GT(lazy0->value, 0.0);
+        } else {
+            EXPECT_EQ(lazy0->value, 0.0);
+        }
+    }
+}
+
 TEST_F(LazyStep, DeclineCountersSumToNonReusedBoundaries)
 {
     // cluster.plan.decline.<reason>: one count per non-reused

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/run_context.hh"
@@ -101,6 +102,8 @@ predictorNamed(const std::string& kind)
         cfg.noiseSigma = 0.4;
     } else if (kind == "profile") {
         cfg.type = predict::PredictorType::Profile;
+    } else if (kind == "rank") {
+        cfg.type = predict::PredictorType::Rank;
     }
     return cfg;
 }
@@ -266,13 +269,16 @@ TEST_F(PlanReuseInvariance, ReactiveSchedulersAcrossPredictors)
 
 TEST_F(PlanReuseInvariance, SpeculativeSchedulersAcrossPredictors)
 {
-    // SRPT and PASCAL-Spec re-key executed requests every iteration;
-    // the profile predictor additionally exercises the version-bump
-    // path that re-keys *idle* requests when the online learner moves.
+    // SRPT and PASCAL-Spec re-key executed requests every iteration
+    // under the length predictors; the profile and rank predictors
+    // additionally exercise the version-bump path that re-keys *idle*
+    // requests when the online learner moves, and under the rank
+    // predictor that bump is the only re-key.
     auto trace = churnTrace(777);
     for (SchedulerType sched :
          {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
-        for (const std::string kind : {"oracle", "noisy", "profile"}) {
+        for (const std::string kind :
+             {"oracle", "noisy", "profile", "rank"}) {
             SCOPED_TRACE("scheduler " +
                          std::to_string(static_cast<int>(sched)) +
                          " predictor " + kind);
@@ -521,7 +527,7 @@ TEST_F(PlanReuseInvariance, PlanRepairGridByteIdentical)
          {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
         // Speculative schedulers require a predictor (see
         // SpeculativeWithoutPredictorStillRejected).
-        for (const char* kind : {"oracle", "noisy", "profile"})
+        for (const char* kind : {"oracle", "noisy", "profile", "rank"})
             grid.push_back({sched, kind});
     }
     // The capped regime: PASCAL's answering reserve caps the high
@@ -583,30 +589,37 @@ TEST_F(PlanReuseInvariance, AllSixtyFourForceCornersByteIdentical)
     // verifies) a different maintained structure, so all 64 runs
     // recompute different subsets of the same state and must agree
     // byte-for-byte. The all-ones corner is the bench's recompute
-    // twin; mask 0 is the production fast path.
+    // twin; mask 0 is the production fast path. PASCAL-Spec under the
+    // rank predictor keys its order on predictions that move only
+    // when the predictor learns, so its fast path reuses plans and
+    // steps lazily too.
     auto trace = transitionTrace(555, 300);
-    SystemConfig base = repairConfig(SchedulerType::Pascal,
-                                     predictorNamed("oracle"), 8192);
-
-    std::vector<cluster::RunResult> results;
-    for (int mask = 0; mask < 64; ++mask) {
-        SystemConfig cfg = base;
-        cfg.limits.forcePerArrivalKick = (mask & 1) != 0;
-        cfg.forceViewRebuild = (mask & 2) != 0;
-        cfg.limits.forceResort = (mask & 4) != 0;
-        cfg.limits.forceAccrue = (mask & 8) != 0;
-        cfg.limits.forcePlanRepair = (mask & 16) != 0;
-        cfg.limits.forceStep = (mask & 32) != 0;
-        results.push_back(cluster::RunContext::execute(cfg, trace));
-    }
-    // The fast path really does run lazy steps on this shape.
-    const obs::StatValue* lazy =
-        obs::findStat(results[0].statsDump, "instance.0.engine.lazy_steps");
-    ASSERT_NE(lazy, nullptr);
-    EXPECT_GT(lazy->value, 0.0);
-    for (std::size_t i = 1; i < results.size(); ++i) {
-        SCOPED_TRACE("mode mask " + std::to_string(i));
-        test::expectIdentical(results[0], results[i]);
+    for (auto [sched, kind] :
+         {std::pair{SchedulerType::Pascal, "oracle"},
+          std::pair{SchedulerType::PascalSpec, "rank"}}) {
+        SCOPED_TRACE(std::string("predictor ") + kind);
+        SystemConfig base =
+            repairConfig(sched, predictorNamed(kind), 8192);
+        std::vector<cluster::RunResult> results;
+        for (int mask = 0; mask < 64; ++mask) {
+            SystemConfig cfg = base;
+            cfg.limits.forcePerArrivalKick = (mask & 1) != 0;
+            cfg.forceViewRebuild = (mask & 2) != 0;
+            cfg.limits.forceResort = (mask & 4) != 0;
+            cfg.limits.forceAccrue = (mask & 8) != 0;
+            cfg.limits.forcePlanRepair = (mask & 16) != 0;
+            cfg.limits.forceStep = (mask & 32) != 0;
+            results.push_back(cluster::RunContext::execute(cfg, trace));
+        }
+        // The fast path really does run lazy steps on this shape.
+        const obs::StatValue* lazy = obs::findStat(
+            results[0].statsDump, "instance.0.engine.lazy_steps");
+        ASSERT_NE(lazy, nullptr);
+        EXPECT_GT(lazy->value, 0.0);
+        for (std::size_t i = 1; i < results.size(); ++i) {
+            SCOPED_TRACE("mode mask " + std::to_string(i));
+            test::expectIdentical(results[0], results[i]);
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "src/common/log.hh"
 #include "src/predict/oracle_predictor.hh"
@@ -298,6 +299,85 @@ TEST(RankPredictor, WarmupAndEdgeCases)
     advance(done, 3);
     EXPECT_DOUBLE_EQ(rank.rankScore(done), 0.0);
     EXPECT_DOUBLE_EQ(rank.predictRemainingTokens(done), 0.0);
+}
+
+TEST(RankPredictor, UnseenBucketPicksUpLaterCompletions)
+{
+    // A bucket queried before any of its completions arrive must not
+    // stay "absent": once they arrive, the request scores exactly as
+    // under a predictor that never saw the early query.
+    predict::PairwiseRankPredictor queried(1);
+    predict::PairwiseRankPredictor fresh(1);
+    std::vector<Request> done;
+    for (RequestId id = 0; id < 4; ++id)
+        done.push_back(makeRequest(id, 64, 3000, 100, "long"));
+    for (const auto& r : done) {
+        queried.observeCompletion(r);
+        fresh.observeCompletion(r);
+    }
+
+    auto req = makeRequest(50, 300, 999, 10, "short");
+    EXPECT_DOUBLE_EQ(queried.winRate(req), 0.5);
+    EXPECT_DOUBLE_EQ(queried.rankScore(req), 0.5);
+    const double unseen_length = queried.predictRemainingTokens(req);
+
+    for (RequestId id = 10; id < 14; ++id) {
+        auto s = makeRequest(id, 300, 100, 20, "short");
+        queried.observeCompletion(s);
+        fresh.observeCompletion(s);
+    }
+    EXPECT_GT(queried.winRate(req), 0.5);
+    EXPECT_DOUBLE_EQ(queried.winRate(req), fresh.winRate(req));
+    EXPECT_DOUBLE_EQ(queried.rankScore(req), fresh.rankScore(req));
+    EXPECT_NE(queried.predictRemainingTokens(req), unseen_length);
+    EXPECT_DOUBLE_EQ(queried.predictRemainingTokens(req),
+                     fresh.predictRemainingTokens(req));
+    EXPECT_DOUBLE_EQ(queried.predictRemainingReasoningTokens(req),
+                     fresh.predictRemainingReasoningTokens(req));
+}
+
+TEST(PredictorContract, RankScoreTracksProgressExactlyWhenDeclared)
+{
+    // Schedulers re-key an executed request only when its predictor
+    // declares rankTracksProgress(); a predictor that declares false
+    // must hold the score of an unfinished request constant through
+    // reasoning, </think> and answering while it learns nothing, and
+    // one that declares true must actually move it.
+    std::vector<PredictorConfig> configs(4);
+    configs[0].type = PredictorType::Oracle;
+    configs[1].type = PredictorType::NoisyOracle;
+    configs[1].noiseSigma = 0.5;
+    configs[2].type = PredictorType::Profile;
+    configs[3].type = PredictorType::Rank;
+    for (auto& cfg : configs)
+        cfg.warmupCompletions = 1;
+    for (const auto& cfg : configs) {
+        SCOPED_TRACE(cfg.name());
+        auto predictor = predict::makePredictor(cfg);
+        // Learned state first, so the scores are not cold-start
+        // constants.
+        for (RequestId id = 0; id < 6; ++id) {
+            predictor->observeCompletion(
+                makeRequest(id, 64, 120 + 40 * id, 30, "a"));
+            predictor->observeCompletion(
+                makeRequest(100 + id, 300, 900, 200, "b"));
+        }
+        const std::uint64_t version = predictor->version();
+        auto req = makeRequest(200, 64, 40, 25, "a");
+        const double first = predictor->rankScore(req);
+        bool moved = false;
+        while (req.generated() + 1 < req.totalToGenerate()) {
+            advance(req, 1);
+            const double score = predictor->rankScore(req);
+            if (!predictor->rankTracksProgress()) {
+                ASSERT_EQ(score, first) << "at token " << req.generated();
+            }
+            moved = moved || score != first;
+        }
+        EXPECT_EQ(req.phase(), workload::Phase::Answering);
+        EXPECT_EQ(predictor->version(), version);
+        EXPECT_EQ(moved, predictor->rankTracksProgress());
+    }
 }
 
 TEST(PredictorConfig, ValidationAndNames)
