@@ -20,11 +20,23 @@ within 5 % of telemetry-off throughput. A ``classes_overhead`` object
 by the classes-off run, which bounds the dormant class layer's cost
 from above) is gated the same way at ``CLASSES_BUDGET``.
 
+Work-counter gate: each result row's ``cluster.plan.full_walks`` (a
+deterministic count, identical on every machine and run) must not
+exceed the committed row with the same (shape, mode, trace), with zero
+slack. Rows without a committed match, such as the nightly ``--big``
+rows, are skipped. Any increase must be explained and the committed
+JSON refreshed.
+
 A JSON with no ``speedup`` object (e.g. ``BENCH_slo_classes.json``)
-skips the speedup ratchet and checks only its overhead objects.
+skips the speedup ratchet and the work-counter gate and checks only
+its overhead objects.
 
 Usage:
-    ci/check_perf_ratchet.py NEW_JSON [COMMITTED_JSON]
+    ci/check_perf_ratchet.py [--work-only] NEW_JSON [COMMITTED_JSON]
+
+--work-only runs the work-counter gate alone: exact on any machine, so
+the per-PR CI job applies it where the machine-relative ratios would
+be noise.
 
 Exit status 1 on regression or malformed input, 0 otherwise.
 """
@@ -42,6 +54,41 @@ def load_doc(path):
         return json.load(fh)
 
 
+WORK_COUNTER = "cluster.plan.full_walks"
+
+
+def row_counter(row, name):
+    for stat in row.get("stats", []):
+        if stat.get("name") == name:
+            return stat.get("value")
+    return None
+
+
+def check_work_counters(new_doc, committed_doc):
+    """Exact gate: no row may do more full walks than its committed
+    twin. Returns True on a regression."""
+    committed = {}
+    for row in committed_doc.get("results", []):
+        value = row_counter(row, WORK_COUNTER)
+        if value is not None:
+            committed[(row["shape"], row["mode"], row["trace"])] = value
+    failed = False
+    for row in new_doc.get("results", []):
+        key = (row.get("shape"), row.get("mode"), row.get("trace"))
+        value = row_counter(row, WORK_COUNTER)
+        if value is None or key not in committed:
+            continue
+        baseline = committed[key]
+        verdict = "ok" if value <= baseline else "WORK FAIL"
+        print(
+            f"{verdict} {key[0]} {key[1]}: {WORK_COUNTER} {value:.0f} vs "
+            f"committed {baseline:.0f}"
+        )
+        if value > baseline:
+            failed = True
+    return failed
+
+
 def load_speedups(doc, path):
     speedups = doc.get("speedup")
     if not isinstance(speedups, dict) or not speedups:
@@ -50,6 +97,9 @@ def load_speedups(doc, path):
 
 
 def main(argv):
+    work_only = len(argv) > 1 and argv[1] == "--work-only"
+    if work_only:
+        argv = argv[:1] + argv[2:]
     if len(argv) < 2 or len(argv) > 3:
         print(__doc__, file=sys.stderr)
         return 1
@@ -57,14 +107,23 @@ def main(argv):
     committed_path = argv[2] if len(argv) == 3 else "BENCH_cluster_path.json"
 
     new_doc = load_doc(new_path)
+    if work_only:
+        failed = check_work_counters(new_doc, load_doc(committed_path))
+        if failed:
+            print(
+                f"\n{WORK_COUNTER} grew against {committed_path}; explain "
+                "the increase and refresh the committed JSON."
+            )
+        return 1 if failed else 0
 
     failed = False
     has_overheads = isinstance(
         new_doc.get("telemetry_overhead"), dict
     ) or isinstance(new_doc.get("classes_overhead"), dict)
     if "speedup" in new_doc or not has_overheads:
+        committed_doc = load_doc(committed_path)
         new = load_speedups(new_doc, new_path)
-        committed = load_speedups(load_doc(committed_path), committed_path)
+        committed = load_speedups(committed_doc, committed_path)
         for shape, baseline in sorted(committed.items()):
             current = new.get(shape)
             if current is None:
@@ -79,6 +138,8 @@ def main(argv):
             )
             if current < floor:
                 failed = True
+        if check_work_counters(new_doc, committed_doc):
+            failed = True
 
     for key, label, budget in (
         ("telemetry_overhead", "telemetry overhead", TELEMETRY_BUDGET),
@@ -98,7 +159,8 @@ def main(argv):
     if failed:
         print(
             "\nfast-path speedup regressed below 0.9x of the committed "
-            "baseline; investigate before merging (or refresh "
+            "baseline, a work counter grew, or an overhead budget was "
+            "exceeded; investigate before merging (or refresh "
             f"{committed_path} if the regression is intended)."
         )
         return 1

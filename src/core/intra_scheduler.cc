@@ -309,9 +309,9 @@ IntraScheduler::noteExecuted(workload::Request* req)
     // keyed policy whose predictor's score tracks progress (predicted
     // remaining work), on every execution. A score that moves only
     // when the predictor learns (the rank predictor's bucket win
-    // rate) is re-keyed for every hosted request by the next plan
-    // instead: patchPlan() declines reuse on predictorMoved(). Nothing
-    // ever moves from the low queue to the high.
+    // rate) is re-scored for every hosted request at the next plan
+    // boundary instead (rescoreOnPredictorMove()). Nothing ever moves
+    // from the low queue to the high.
     const bool rescore = keysTrackProgress();
     if (rescore)
         req->schedScore = rankScore(req);
@@ -407,6 +407,41 @@ IntraScheduler::predictorMoved() const
            currentPredictorVersion() != lastPredictorVersion;
 }
 
+bool
+IntraScheduler::rescoreOnPredictorMove()
+{
+    // Runs before the boundary settles a lazy stretch, so the
+    // stretch's members carry stale progress. Neither read below
+    // sees it: a score that tracks progress opens no stretch
+    // (steadySteps() returns 0), and steadySteps() ends a stretch
+    // before any high-queue member's KV passes deferWindowStart(),
+    // which is all deferDecision() reads of a member at or below it.
+    lastPredictorVersion = currentPredictorVersion();
+    // Link the pending members under their old keys first: a member
+    // requeued since the last walk may already sit in the lineage
+    // batch at its old rank, so the check below must see it too.
+    highQueue.repair();
+    lowQueue.repair();
+    for (auto* r : requests)
+        r->schedScore = rankScore(r);
+    // The walk merges each queue's waiting and material members by
+    // key, so with admissions pending a bump can move a waiting
+    // request ahead of a resident without unsorting either sublist,
+    // and the lineage no longer proves that nothing waiting fits.
+    const bool requeue_all = !waitingPrompts.empty() ||
+                             !highQueue.inOrder() ||
+                             !lowQueue.inOrder();
+    for (auto* r : requests) {
+        if (requeue_all)
+            requeue(r, r->schedQueueTag);
+        // Predictive demotion reads the predicted length, which the
+        // bump may have moved.
+        if (r->schedQueueTag == kHighTag)
+            deferDecision(r);
+    }
+    return requeue_all;
+}
+
 void
 IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
 {
@@ -423,7 +458,6 @@ IntraScheduler::buildPlan(const model::KvPool& pool, IterationPlan& out)
     if (!incremental)
         return;
     stateChanged = false;
-    lastPredictorVersion = currentPredictorVersion();
     // A lineage plan: uncapped pure decode with every material member
     // selected (no kept residents).
     lastPlanReusable = out.prefill.empty() && out.prewarm.empty() &&
@@ -528,6 +562,20 @@ IntraScheduler::steadySteps(
 PlanRung
 IntraScheduler::patchPlan(IterationPlan& prev, const model::KvPool& pool)
 {
+    // A bump that keeps every queue's order costs nothing more: the
+    // lineage reuses or repairs as if the predictor had not moved.
+    const bool requeued =
+        incremental && predictorMoved() && rescoreOnPredictorMove();
+    const PlanRung rung = patchLineage(prev, pool);
+    if (requeued)
+        decline = PlanDecline::PredictorMoved;
+    return rung;
+}
+
+PlanRung
+IntraScheduler::patchLineage(IterationPlan& prev,
+                             const model::KvPool& pool)
+{
     decline = PlanDecline::None;
     if (!incremental || !lineage) {
         decline = PlanDecline::Inactive;
@@ -539,8 +587,6 @@ IntraScheduler::patchPlan(IterationPlan& prev, const model::KvPool& pool)
     // state; any that fires journals its own re-key.
     if (!lastPlanReusable || stateChanged) {
         decline = PlanDecline::StateChanged;
-    } else if (predictorMoved()) {
-        decline = PlanDecline::PredictorMoved;
     } else if (applyDeferredDecisions()) {
         decline = PlanDecline::Veto;
     } else if (lineageFits(pool)) {
@@ -555,14 +601,11 @@ IntraScheduler::patchPlan(IterationPlan& prev, const model::KvPool& pool)
         return PlanRung::Walk;
     }
     applyDeferredDecisions();
-    if (repairBail || predictorMoved() || !waitingPrompts.empty() ||
+    if (repairBail || !waitingPrompts.empty() ||
         waitingPrewarmCount > 0 ||
         pool.numTracked() != pool.numGpuResident()) {
-        decline =
-            repairBail ? PlanDecline::Bailed
-            : predictorMoved()
-                ? PlanDecline::PredictorMoved
-                : (!waitingPrompts.empty() || waitingPrewarmCount > 0)
+        decline = repairBail ? PlanDecline::Bailed
+                  : (!waitingPrompts.empty() || waitingPrewarmCount > 0)
                       ? PlanDecline::WaitingWork
                       : PlanDecline::SwappedMembers;
         return PlanRung::Walk;
@@ -705,17 +748,10 @@ void
 IntraScheduler::incrementalPlan(const model::KvPool& pool,
                                 IterationPlan& out)
 {
-    if (predictorMoved()) {
-        // The predictor learned: every cached score is suspect. Re-key
-        // everything, and offer every request to the plan-time
-        // decisions again (the demotion rule may have moved too).
-        for (auto* r : requests) {
-            r->schedScore = rankScore(r);
-            requeue(r, r->schedQueueTag);
-            if (r->schedQueueTag == kHighTag)
-                deferDecision(r);
-        }
-    }
+    // patchPlan() absorbs a bump first; callers that build without
+    // patching (unit probes) reach it here.
+    if (predictorMoved())
+        rescoreOnPredictorMove();
     applyDeferredDecisions();
     highQueue.repair();
     lowQueue.repair();

@@ -41,7 +41,10 @@
  *                              flip, KV growth),
  *  - onPhaseTransition()       reasoning->answering staying home,
  *
- * plus LengthPredictor::version() for predictor-driven key changes.
+ * plus LengthPredictor::version() for predictor-driven key changes: a
+ * version bump re-scores every hosted request in place at the next
+ * plan boundary, and requeues them (ending verbatim reuse) only when
+ * the new scores reorder a queue (rescoreOnPredictorMove()).
  * Code that mutates requests behind the scheduler's back (unit tests
  * poking exec states directly) must simply leave incremental mode off.
  * A policy that moves a key itself (PASCAL's demotion and quantum
@@ -167,7 +170,10 @@ enum class PlanDecline : std::uint8_t
     Inactive,       //!< No live lineage (recompute mode, force twin,
                     //!< or the last walk was no lineage plan).
     StateChanged,   //!< Membership/key/queue change since last build.
-    PredictorMoved, //!< Predictor version bumped under spec keys.
+    PredictorMoved, //!< A predictor bump reordered a queue (or
+                    //!< landed with admissions waiting), so every
+                    //!< hosted request was requeued; reported for
+                    //!< the repair or walk that follows.
     Veto,           //!< Policy veto (PASCAL's deferred demotion).
     Budget,         //!< Paged-memory budget check failed.
     WaitingWork,    //!< Waiting admission candidates exist.
@@ -243,9 +249,9 @@ class IntraScheduler
      * Capped and kept-resident plans start no lineage; they walk.
      *
      *  - Reuse: @p prev is the lineage plan and no membership, key,
-     *    demotion, or predictor change was observed since it was
-     *    built, so it runs again verbatim once the O(1) histogram
-     *    budget check passes. Waiting work may be present: nothing
+     *    or demotion change was observed since it was built, so it
+     *    runs again verbatim once the O(1) histogram budget check
+     *    passes. Waiting work may be present: nothing
      *    changed, so the walk would still not admit it.
      *  - Repair: the change is in the journal. Departed / re-keyed
      *    members are spliced out of the lineage batch, landed and
@@ -254,11 +260,16 @@ class IntraScheduler
      *    the histogram patched by the same deltas — O(delta log delta
      *    + batch) with no queue walk, no predictor calls, and no
      *    allocation once warm. Eligible only with no waiting
-     *    admission candidates, no swapped members and no predictor
-     *    movement, so the patched batch provably equals the walk's.
+     *    admission candidates and no swapped members, so the patched
+     *    batch provably equals the walk's.
      *    Disabled by SchedLimits::forcePlanRepair (the force twin
      *    keeps the journal dark; verbatim reuse still runs).
      *  - Walk: neither applies; the caller must run buildPlan().
+     *
+     * A predictor version bump is absorbed first
+     * (rescoreOnPredictorMove()): one that keeps every queue's order
+     * leaves the rungs above untouched; one that reorders requeues
+     * every hosted request, whose journaled re-keys reach the repair.
      */
     PlanRung patchPlan(IterationPlan& prev, const model::KvPool& pool);
 
@@ -283,7 +294,10 @@ class IntraScheduler
      * move, or deferred decision). 0 means the very next execution is
      * not steady. Nothing is steady under a keyed policy whose
      * predictor's score tracks progress (keysTrackProgress()): it
-     * re-keys every execution. Incremental mode only.
+     * re-keys every execution. High-queue members stay at or below
+     * deferWindowStart() throughout, which rescoreOnPredictorMove()
+     * relies on to skip settling an open stretch. Incremental mode
+     * only.
      */
     TokenCount
     steadySteps(const std::vector<workload::Request*>& batch) const;
@@ -312,8 +326,8 @@ class IntraScheduler
      * maintained counters, re-keys it if its quanta or queue moved or
      * its score tracks progress (keysTrackProgress()), and offers it
      * to deferDecision(). A score that moves only with the predictor
-     * version is re-keyed by the next plan, which a version bump
-     * always forces. No-op in recompute mode.
+     * version is re-scored at the next plan boundary after a bump
+     * (rescoreOnPredictorMove()). No-op in recompute mode.
      */
     void noteExecuted(workload::Request* req);
 
@@ -427,14 +441,14 @@ class IntraScheduler
     virtual bool capsHighQueue() const { return false; }
 
     /** True if the score level is the predictor's rank score, so a
-     *  predictor version bump re-keys every request. */
+     *  predictor version bump re-scores every request. */
     virtual bool keysUsePredictions() const { return false; }
 
     /** True if planning without a wired predictor is an error. */
     virtual bool requiresPredictor() const { return false; }
 
     /**
-     * @p req, a high-queue member, joined, ran, or was re-keyed by a
+     * @p req, a high-queue member, joined, ran, or was re-scored by a
      * predictor move, so its KV or prediction may have changed. A
      * policy with plan-time decisions about its high queue (PASCAL's
      * demotion) queues it for the next applyDeferredDecisions().
@@ -520,7 +534,7 @@ class IntraScheduler
         return lengthPredictor ? lengthPredictor->rankScore(*req) : 0.0;
     }
 
-    /** Incremental plan: re-key on a predictor move, apply deferred
+    /** Incremental plan: absorb a predictor move, apply deferred
      *  decisions, repair both queues, walk them in place. */
     void incrementalPlan(const model::KvPool& pool, IterationPlan& out);
 
@@ -547,9 +561,22 @@ class IntraScheduler
      *  counters from its live state. */
     void syncCounters(workload::Request* req);
 
-    /** Predictor version() changed since the last buildPlan (only
-     *  meaningful when keysUsePredictions()). */
+    /** Predictor version() changed since the last bump was absorbed
+     *  (only meaningful when keysUsePredictions()). */
     bool predictorMoved() const;
+
+    /**
+     * Absorb a predictor version bump: write every hosted request's
+     * new rank score into schedScore, requeue them all only if the
+     * new scores break a queue's linked order (OrderedQueue::inOrder)
+     * or admissions are waiting, and offer every high-queue member
+     * to deferDecision() again. @return true if it requeued.
+     */
+    bool rescoreOnPredictorMove();
+
+    /** patchPlan()'s rungs, after any predictor bump was absorbed. */
+    PlanRung patchLineage(IterationPlan& prev,
+                          const model::KvPool& pool);
 
     /** Keyed policy whose predictor's rank score moves with the
      *  request's own progress (LengthPredictor::rankTracksProgress):

@@ -309,6 +309,31 @@ class OrderedQueue
         pending.clear();
     }
 
+    /**
+     * True if each sublist's linked members are still in strict Cmp
+     * order under their *current* keys: an O(linked) adjacent-pair
+     * check along level 0 that reads keys mutated without markDirty()
+     * (the caller's question is exactly whether such a mutation moved
+     * anyone). Pending members are not consulted; repair() places
+     * them anyway.
+     */
+    bool
+    inOrder() const
+    {
+        Cmp less{};
+        for (const SubList* s : {&material, &waiting}) {
+            Node* prev = s->head->next(0);
+            if (prev == nullptr)
+                continue;
+            for (Node* n = prev->next(0); n != nullptr;
+                 prev = n, n = n->next(0)) {
+                if (!less(prev->req, n->req))
+                    return false;
+            }
+        }
+        return true;
+    }
+
     /** Arena compactions performed so far (diagnostic). */
     std::uint64_t numCompactions() const { return compactions; }
 

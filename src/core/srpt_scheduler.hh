@@ -19,12 +19,13 @@
  * executed request is re-keyed each iteration (no verbatim plan
  * reuse), but idle requests keep their cached score: the repair is
  * O(batch log batch) instead of O(hosted log hosted). A predictor
- * version bump (an online learner updating its state) re-keys
- * everything; under the rank predictor, whose score does not move
- * with progress, that is the only re-key, so steady decode reuses
- * plans and runs lazily. Candidates that do
- * not fit are skipped: a long request must not block the shorter ones
- * behind it (that would re-create FCFS blocking).
+ * version bump (an online learner updating its state) re-scores
+ * everything and requeues only if a queue's order moved; under the
+ * rank predictor, whose score does not move with progress, that is
+ * the only re-score, so steady decode reuses plans and runs lazily.
+ * Candidates that do not fit are skipped: a long request must not
+ * block the shorter ones behind it (that would re-create FCFS
+ * blocking).
  */
 
 #ifndef PASCAL_CORE_SRPT_SCHEDULER_HH

@@ -150,9 +150,10 @@ class LengthPredictor
      * internal state — and therefore its predictions for requests
      * that did not themselves progress — may have changed. Schedulers
      * whose ordering keys come from predictions (SRPT, PASCAL-Spec)
-     * re-key every hosted request when it moves; under a predictor
-     * whose rankScore() does not track progress this is the only
-     * re-key they need. Stateless predictors (oracle, noisy oracle)
+     * re-score every hosted request when it moves, and requeue them
+     * only if the new scores reorder a queue; under a predictor whose
+     * rankScore() does not track progress this is the only re-score
+     * they need. Stateless predictors (oracle, noisy oracle)
      * never bump it: their estimates are pure functions of the
      * request's own progress.
      */

@@ -1,6 +1,7 @@
 #include "src/predict/rank_predictor.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 namespace pascal
@@ -30,34 +31,44 @@ promptBucket(TokenCount prompt)
     return bucket;
 }
 
+/** Serials start at 1: a request's memo owner 0 means "none". */
+std::atomic<std::uint64_t> nextSerial{1};
+
 } // namespace
 
 PairwiseRankPredictor::PairwiseRankPredictor(int warmup_comparisons)
-    : warmup(warmup_comparisons)
+    : warmup(warmup_comparisons), serial(nextSerial++)
 {}
 
-const PairwiseRankPredictor::Bucket*
+PairwiseRankPredictor::Bucket&
 PairwiseRankPredictor::find(const workload::Request& req) const
 {
+    if (req.predictOwner == serial)
+        return *static_cast<Bucket*>(req.predictBucket);
     const workload::RequestSpec& spec = req.spec();
-    auto it = buckets.find(
-        BucketRef{spec.dataset, promptBucket(spec.promptTokens)});
-    return it == buckets.end() ? nullptr : &it->second;
+    Bucket& bucket =
+        buckets
+            .try_emplace(
+                BucketKey{spec.dataset, promptBucket(spec.promptTokens)})
+            .first->second;
+    req.predictBucket = &bucket;
+    req.predictOwner = serial;
+    return bucket;
 }
 
 double
 PairwiseRankPredictor::winRate(const workload::Request& req) const
 {
-    const Bucket* bucket = find(req);
+    const Bucket& bucket = find(req);
     // games == 0 must stay neutral even when warmup is 0: 0/0 would
     // produce a NaN rank score, and NaN keys break std::sort's strict
     // weak ordering in the schedulers.
-    if (bucket == nullptr || bucket->games == 0 ||
-        bucket->games < static_cast<std::uint64_t>(warmup)) {
+    if (bucket.games == 0 ||
+        bucket.games < static_cast<std::uint64_t>(warmup)) {
         return 0.5;
     }
-    return static_cast<double>(bucket->wins) /
-           static_cast<double>(bucket->games);
+    return static_cast<double>(bucket.wins) /
+           static_cast<double>(bucket.games);
 }
 
 double
@@ -69,11 +80,11 @@ PairwiseRankPredictor::rankScore(const workload::Request& req) const
 }
 
 double
-PairwiseRankPredictor::meanReasoning(const Bucket* bucket) const
+PairwiseRankPredictor::meanReasoning(const Bucket& bucket) const
 {
-    if (bucket != nullptr && bucket->reasoningCompletions > 0) {
-        return bucket->sumReasoning /
-               static_cast<double>(bucket->reasoningCompletions);
+    if (bucket.reasoningCompletions > 0) {
+        return bucket.sumReasoning /
+               static_cast<double>(bucket.reasoningCompletions);
     }
     if (globalReasoningCompletions > 0)
         return globalSumReasoning /
@@ -82,12 +93,10 @@ PairwiseRankPredictor::meanReasoning(const Bucket* bucket) const
 }
 
 double
-PairwiseRankPredictor::meanAnswer(const Bucket* bucket) const
+PairwiseRankPredictor::meanAnswer(const Bucket& bucket) const
 {
-    if (bucket != nullptr && bucket->completions > 0) {
-        return bucket->sumAnswer /
-               static_cast<double>(bucket->completions);
-    }
+    if (bucket.completions > 0)
+        return bucket.sumAnswer / static_cast<double>(bucket.completions);
     if (globalCompletions > 0)
         return globalSumAnswer / static_cast<double>(globalCompletions);
     return kPriorAnswerTokens;
@@ -95,7 +104,7 @@ PairwiseRankPredictor::meanAnswer(const Bucket* bucket) const
 
 double
 PairwiseRankPredictor::remainingReasoning(const workload::Request& req,
-                                          const Bucket* bucket) const
+                                          const Bucket& bucket) const
 {
     if (req.spec().startInAnswering ||
         req.phase() != workload::Phase::Reasoning) {
@@ -120,7 +129,7 @@ PairwiseRankPredictor::predictRemainingTokens(
       case workload::Phase::Finished:
         return 0.0;
       case workload::Phase::Reasoning: {
-        const Bucket* bucket = find(req);
+        const Bucket& bucket = find(req);
         return remainingReasoning(req, bucket) + meanAnswer(bucket);
       }
       case workload::Phase::Answering: {
@@ -139,11 +148,7 @@ PairwiseRankPredictor::observeCompletion(const workload::Request& req)
     double total = static_cast<double>(req.totalToGenerate());
 
     // std::map references are stable across later insertions.
-    Bucket& bucket =
-        buckets
-            .try_emplace(
-                BucketKey{spec.dataset, promptBucket(spec.promptTokens)})
-            .first->second;
+    Bucket& bucket = find(req);
 
     // Play the completion against every *other* bucket's reservoir:
     // the shorter total generation wins; ties charge both a game but

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "src/predict/predictor.hh"
@@ -41,6 +41,12 @@ class PairwiseRankPredictor : public LengthPredictor
     /** @param warmup_comparisons Pairwise games a bucket needs before
      *         its win rate is trusted (below: neutral 0.5). */
     explicit PairwiseRankPredictor(int warmup_comparisons);
+
+    /** Not copyable: requests memoize bucket addresses under this
+     *  predictor's serial, which a copy would share. */
+    PairwiseRankPredictor(const PairwiseRankPredictor&) = delete;
+    PairwiseRankPredictor& operator=(const PairwiseRankPredictor&) =
+        delete;
 
     std::string name() const override { return "rank"; }
 
@@ -86,51 +92,49 @@ class PairwiseRankPredictor : public LengthPredictor
         std::size_t reservoirNext = 0;
     };
 
-    /** A bucket's features: source dataset and log2 prompt length. */
+    /** A bucket's features: source dataset and log2 prompt length
+     *  (ordered by dataset, then length). */
     struct BucketKey
     {
         std::string dataset;
         int promptLog2 = 0;
-    };
 
-    /** The same features borrowed from a spec: lookups build no
-     *  string. */
-    struct BucketRef
-    {
-        std::string_view dataset;
-        int promptLog2 = 0;
-    };
-
-    /** Transparent (dataset, promptLog2) order over both forms. */
-    struct BucketLess
-    {
-        using is_transparent = void;
-
-        template <typename A, typename B>
         bool
-        operator()(const A& a, const B& b) const
+        operator<(const BucketKey& o) const
         {
-            const int c = std::string_view(a.dataset).compare(b.dataset);
-            return c != 0 ? c < 0 : a.promptLog2 < b.promptLog2;
+            return std::tie(dataset, promptLog2) <
+                   std::tie(o.dataset, o.promptLog2);
         }
     };
 
-    /** @p req's bucket, or nullptr while it has no completion yet
-     *  (resolved per call, so a later completion is picked up). */
-    const Bucket* find(const workload::Request& req) const;
+    /**
+     * @p req's bucket, created empty on first sight. An empty bucket
+     * scores exactly like an absent one (neutral win rate, global
+     * length means, an empty reservoir that plays no games), and
+     * later completions land in it. Resolved once per request: the
+     * reference is memoized on the request (Request::predictBucket,
+     * stamped with this predictor's serial) and map nodes never move.
+     */
+    Bucket& find(const workload::Request& req) const;
     /** Length means of @p bucket, falling back to the global means
      *  and then the priors when it has no sample. */
-    double meanReasoning(const Bucket* bucket) const;
-    double meanAnswer(const Bucket* bucket) const;
+    double meanReasoning(const Bucket& bucket) const;
+    double meanAnswer(const Bucket& bucket) const;
     double remainingReasoning(const workload::Request& req,
-                              const Bucket* bucket) const;
+                              const Bucket& bucket) const;
 
     int warmup;
 
+    /** Process-unique id stamped into the requests' bucket memo. */
+    std::uint64_t serial;
+
     /** std::map: deterministic iteration, so pairwise game order is
      *  a pure function of completion order (the outcomes are integer
-     *  counts, so the order itself never changes a score). */
-    std::map<BucketKey, Bucket, BucketLess> buckets;
+     *  counts, so the order itself never changes a score), and stable
+     *  node addresses for the per-request memo. Mutable: find()
+     *  creates empty buckets, which no prediction can tell apart from
+     *  absent ones. */
+    mutable std::map<BucketKey, Bucket> buckets;
 
     /** Global length means (fallback for unseen buckets). */
     double globalSumReasoning = 0.0;

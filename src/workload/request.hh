@@ -358,6 +358,14 @@ class Request
      *  so comparisons never call the predictor. */
     double schedScore = 0.0;
 
+    /** Length-predictor memo: the feature bucket a
+     *  predict::PairwiseRankPredictor resolved for this request, and
+     *  that predictor's serial (0 = none), so a prediction looks its
+     *  bucket up once per request instead of once per call. Mutable:
+     *  predictions take the request by const reference. */
+    mutable void* predictBucket = nullptr;
+    mutable std::uint64_t predictOwner = 0;
+
     /** quantaConsumed at the last scheduler sync (change detector). */
     int schedCachedQuanta = 0;
 

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -176,11 +177,12 @@ TEST_F(LazyStep, RankKeyedPoliciesReuseAndStepLazily)
 {
     // The rank predictor's score is a bucket win rate: it moves when
     // the predictor learns (a version bump, which the next boundary
-    // turns into a full walk), never with a request's own progress.
-    // So the policies keyed on it reuse plans and step lazily, and
-    // must stay byte-identical to their eager twin and to the
-    // all-force recompute twin. The oracle's score is the remaining
-    // work, which every token moves: none of its steps is steady.
+    // re-scores in place and requeues only if a queue's order moved),
+    // never with a request's own progress. So the policies keyed on
+    // it reuse plans and step lazily, and must stay byte-identical to
+    // their eager twin and to the all-force recompute twin. The
+    // oracle's score is the remaining work, which every token moves:
+    // none of its steps is steady.
     auto trace = steadyTrace(24, 0.5);
     struct Row
     {
@@ -221,6 +223,13 @@ TEST_F(LazyStep, RankKeyedPoliciesReuseAndStepLazily)
         if (row.steady) {
             EXPECT_GT(reuses->value, 0.0);
             EXPECT_GT(lazy0->value, 0.0);
+            // Every completion bumps the predictor, but only the
+            // bumps that reorder a queue requeue and cost the lineage.
+            const obs::StatValue* moved = obs::findStat(
+                lazy.statsDump, "cluster.plan.decline.predictor_moved");
+            ASSERT_NE(moved, nullptr);
+            EXPECT_LT(moved->value,
+                      static_cast<double>(lazy.aggregate.numFinished));
         } else {
             EXPECT_EQ(lazy0->value, 0.0);
         }
@@ -230,13 +239,20 @@ TEST_F(LazyStep, RankKeyedPoliciesReuseAndStepLazily)
 TEST_F(LazyStep, DeclineCountersSumToNonReusedBoundaries)
 {
     // cluster.plan.decline.<reason>: one count per non-reused
-    // boundary, so the reasons add up to repairs + full walks.
+    // boundary, so the reasons add up to repairs + full walks. The
+    // rank-keyed policies add predictor_moved, for the bumps that
+    // reorder a queue.
     for (SchedulerType sched :
-         {SchedulerType::Fcfs, SchedulerType::Rr, SchedulerType::Pascal}) {
+         {SchedulerType::Fcfs, SchedulerType::Rr, SchedulerType::Pascal,
+          SchedulerType::Srpt, SchedulerType::PascalSpec}) {
         SCOPED_TRACE("scheduler " +
                      std::to_string(static_cast<int>(sched)));
         SystemConfig cfg = steadyConfig(2);
         cfg.scheduler = sched;
+        const bool keyed = sched == SchedulerType::Srpt ||
+                           sched == SchedulerType::PascalSpec;
+        if (keyed)
+            cfg.predictor.type = predict::PredictorType::Rank;
         cfg.gpuKvCapacityTokens = 8192; // Walks and repairs both fire.
         RunResult r = runWith(cfg, steadyTrace(30, 0.3), false, nullptr);
         auto stat = [&](const std::string& name) {
@@ -255,6 +271,189 @@ TEST_F(LazyStep, DeclineCountersSumToNonReusedBoundaries)
                   0u);
         EXPECT_EQ(declines, stat("cluster.plan.repairs") +
                                 stat("cluster.plan.full_walks"));
+        if (keyed) {
+            EXPECT_GT(stat("cluster.plan.decline.predictor_moved"), 0u);
+        }
+    }
+}
+
+/**
+ * Test-only rank predictor: per-bucket scores set by the test (the
+ * bucket is the request's dataset), a version bump only when they are
+ * set, and a score that never tracks the request's own progress — the
+ * contract of the pairwise rank predictor without its learning.
+ */
+class ScriptedRankPredictor : public predict::LengthPredictor
+{
+  public:
+    std::string name() const override { return "scripted"; }
+
+    double
+    predictRemainingTokens(const workload::Request&) const override
+    {
+        return 0.0;
+    }
+
+    double
+    predictRemainingReasoningTokens(
+        const workload::Request&) const override
+    {
+        return 0.0;
+    }
+
+    double
+    rankScore(const workload::Request& req) const override
+    {
+        return req.finished() ? 0.0 : scores.at(req.spec().dataset);
+    }
+
+    bool rankTracksProgress() const override { return false; }
+
+    /** Install @p s as every bucket's score, and bump. */
+    void
+    set(std::map<std::string, double> s)
+    {
+        scores = std::move(s);
+        bumpVersion();
+    }
+
+  private:
+    std::map<std::string, double> scores;
+};
+
+/** What one scripted bump did on instance 0: whether a stretch was
+ *  open when it landed, and the counters' moves until a later probe
+ *  (the next boundaries, before anything else happens). */
+struct BumpEffect
+{
+    bool midStretch = false;
+    std::uint64_t builds = 0;
+    std::uint64_t catchups = 0;
+    std::uint64_t predictorMoved = 0;
+    bool stretchGrew = false;
+};
+
+TEST_F(LazyStep, PredictorBumpRequeuesOnlyWhenItReorders)
+{
+    // Six requests, one bucket each, decode side by side; the bumps
+    // land long after the last arrival and before any event. The KV
+    // fills up after the last bump, so the walk then evicts by the
+    // order the bumps left behind.
+    workload::Trace trace = steadyTrace(6, 0.25, 1500, 200);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        trace.requests[i].dataset = "b" + std::to_string(i);
+    auto scores = [](std::vector<double> v) {
+        std::map<std::string, double> m;
+        for (std::size_t i = 0; i < v.size(); ++i)
+            m["b" + std::to_string(i)] = v[i];
+        return m;
+    };
+    struct Bump
+    {
+        const char* what;
+        std::map<std::string, double> scores;
+        bool reorders;
+    };
+    const std::vector<Bump> bumps = {
+        {"keeps the order", scores({.2, .4, .6, .8, 1., 1.2}), false},
+        {"swaps b1 and b2", scores({.2, .6, .4, .8, 1., 1.2}), true},
+        {"ties b1 and b2 (arrival order)",
+         scores({.2, .5, .5, .8, 1., 1.2}), true},
+        {"breaks the tie the same way",
+         scores({.2, .5, .51, .8, 1., 1.2}), false},
+        {"swaps the first and the last",
+         scores({1.2, .5, .51, .8, 1., .2}), true},
+    };
+    const Time first = 4.0;
+    const Time gap = 1.0;
+    const Time probe = 0.3;
+
+    for (SchedulerType sched :
+         {SchedulerType::Srpt, SchedulerType::PascalSpec}) {
+        SCOPED_TRACE("scheduler " +
+                     std::to_string(static_cast<int>(sched)));
+        SystemConfig cfg = steadyConfig();
+        cfg.scheduler = sched;
+        cfg.gpuKvCapacityTokens = 3072;
+        // The cluster's own predictor only satisfies validation; every
+        // scheduler is rewired to the scripted one before any arrival.
+        cfg.predictor.type = predict::PredictorType::Rank;
+        std::uint64_t swap_outs = 0;
+        auto run = [&](const SystemConfig& c,
+                       std::vector<BumpEffect>* effects) {
+            ScriptedRankPredictor pred;
+            pred.set(scores({.1, .2, .3, .4, .5, .6}));
+            RunContext ctx(c);
+            for (const auto& inst : ctx.cluster().getInstances())
+                inst->setPredictor(&pred, false);
+            ctx.submit(trace);
+            const cluster::Instance& inst =
+                *ctx.cluster().getInstances()[0];
+            std::vector<BumpEffect> seen(bumps.size());
+            std::vector<BumpEffect> base(bumps.size());
+            std::vector<std::size_t> pending(bumps.size());
+            for (std::size_t b = 0; b < bumps.size(); ++b) {
+                const Time at = first + gap * static_cast<double>(b);
+                ctx.simulator().at(at, [&, b] {
+                    pending[b] = inst.numPendingSteps();
+                    seen[b].midStretch = pending[b] > 0;
+                    base[b] = {false, inst.numPlanBuilds(),
+                               inst.numCatchUps(),
+                               inst.numPlanDeclines(
+                                   core::PlanDecline::PredictorMoved),
+                               false};
+                    pred.set(bumps[b].scores);
+                });
+                ctx.simulator().at(at + probe, [&, b] {
+                    seen[b].builds = inst.numPlanBuilds() - base[b].builds;
+                    seen[b].catchups =
+                        inst.numCatchUps() - base[b].catchups;
+                    seen[b].predictorMoved =
+                        inst.numPlanDeclines(
+                            core::PlanDecline::PredictorMoved) -
+                        base[b].predictorMoved;
+                    seen[b].stretchGrew =
+                        inst.numPendingSteps() > pending[b];
+                });
+            }
+            ctx.run();
+            if (effects != nullptr)
+                *effects = seen;
+            swap_outs = inst.numSwapOuts();
+            return ctx.result();
+        };
+
+        std::vector<BumpEffect> effects;
+        RunResult lazy = run(cfg, &effects);
+        EXPECT_GT(swap_outs, 0u);
+        SystemConfig eager = cfg;
+        eager.limits.forceStep = true;
+        test::expectIdentical(lazy, run(eager, nullptr));
+        SystemConfig forced = eager;
+        forced.limits.forcePerArrivalKick = true;
+        forced.forceViewRebuild = true;
+        forced.limits.forceResort = true;
+        forced.limits.forceAccrue = true;
+        forced.limits.forcePlanRepair = true;
+        test::expectIdentical(lazy, run(forced, nullptr));
+
+        for (std::size_t b = 0; b < bumps.size(); ++b) {
+            SCOPED_TRACE(bumps[b].what);
+            const BumpEffect& e = effects[b];
+            EXPECT_TRUE(e.midStretch);
+            if (bumps[b].reorders) {
+                // Requeued: the next boundary repairs and settles the
+                // stretch.
+                EXPECT_EQ(e.predictorMoved, 1u);
+                EXPECT_GE(e.builds, 1u);
+            } else {
+                // The lineage reuses and the stretch runs on.
+                EXPECT_EQ(e.predictorMoved, 0u);
+                EXPECT_EQ(e.builds, 0u);
+                EXPECT_EQ(e.catchups, 0u);
+                EXPECT_TRUE(e.stretchGrew);
+            }
+        }
     }
 }
 

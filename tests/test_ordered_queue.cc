@@ -5,7 +5,9 @@
  * and the high-then-low concatenation of two queues' material walks
  * must equal what std::sort produces for the same members, keys and
  * materiality — the last one is the greedy walk's eviction order
- * (ResidentEvictOrder) that the early-exit settle pass reads.
+ * (ResidentEvictOrder) that the early-exit settle pass reads. Its
+ * sortedness query must agree with std::is_sorted over each sublist's
+ * linked members after keys move behind its back.
  */
 
 #include <gtest/gtest.h>
@@ -216,6 +218,95 @@ TEST(OrderedQueue, ArenaCompactionKeepsOrder)
     EXPECT_EQ(QueuePair::walk(qp.high.begin(), qp.high.end()),
               before_high);
     EXPECT_EQ(QueuePair::walk(qp.low.begin(), qp.low.end()), before_low);
+}
+
+/** Each sublist's linked members (pending ones excluded), in linked
+ *  order, read off the merged walk. */
+std::vector<std::vector<Request*>>
+linkedSublists(const OrderedQueue<SchedOrder>& q)
+{
+    std::vector<std::vector<Request*>> out(2);
+    for (Request* r : QueuePair::walk(q.begin(), q.end())) {
+        if (!r->schedDirtyPending)
+            out[r->schedInResidentList ? 0 : 1].push_back(r);
+    }
+    return out;
+}
+
+TEST(OrderedQueue, InOrderMatchesIsSortedAfterUnannouncedKeyMoves)
+{
+    // The predictor-bump check: scores move without markDirty(), and
+    // inOrder() must say whether each sublist's linked order still
+    // holds. Scores take two values and arrivals seven, so most
+    // comparisons tie through to the id; some members are pending.
+    std::uint64_t kept = 0;
+    std::uint64_t broken = 0;
+    for (std::uint64_t seed : {11u, 12u, 13u}) {
+        SCOPED_TRACE(seed);
+        std::mt19937_64 rng(seed);
+        QueuePair qp(40);
+        for (const auto& r : qp.reqs) {
+            QueuePair::rekey(r.get(), rng);
+            r->schedInResidentList = rng() % 2 == 0;
+            qp.queue(rng() % 2 == 0 ? kHigh : kLow).insert(r.get());
+        }
+        qp.repair();
+        for (int round = 0; round < 400; ++round) {
+            for (const auto& r : qp.reqs) {
+                if (rng() % 8 == 0)
+                    qp.queue(r->schedQueueTag).markDirty(r.get());
+            }
+            const int moves = static_cast<int>(rng() % 3);
+            for (int i = 0; i < moves; ++i) {
+                Request* r = qp.reqs[rng() % qp.reqs.size()].get();
+                r->schedScore = static_cast<double>(rng() % 2);
+            }
+            for (std::uint8_t tag : {kHigh, kLow}) {
+                const auto& q = qp.queue(tag);
+                bool sorted = true;
+                for (const auto& sub : linkedSublists(q)) {
+                    sorted = sorted && std::is_sorted(sub.begin(),
+                                                      sub.end(),
+                                                      SchedOrder{});
+                }
+                ASSERT_EQ(q.inOrder(), sorted);
+                ++(sorted ? kept : broken);
+            }
+            // Settle, as a requeue of every member would.
+            for (const auto& r : qp.reqs)
+                qp.queue(r->schedQueueTag).markDirty(r.get());
+            qp.repair();
+            ASSERT_TRUE(qp.high.inOrder());
+            ASSERT_TRUE(qp.low.inOrder());
+        }
+    }
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(broken, 0u);
+}
+
+TEST(OrderedQueue, InOrderBreaksOnSwapAndOnATieAgainstTheId)
+{
+    QueuePair qp(4);
+    for (const auto& r : qp.reqs) {
+        r->schedScore = static_cast<double>(r->id());
+        r->schedInResidentList = true;
+        qp.low.insert(r.get());
+    }
+    qp.repair();
+    // Ids 1..4 arrive at 0..3, so id 2 precedes id 3 on every level.
+    Request* a = qp.reqs[1].get();
+    Request* b = qp.reqs[2].get();
+    EXPECT_TRUE(qp.low.inOrder());
+    std::swap(a->schedScore, b->schedScore);
+    EXPECT_FALSE(qp.low.inOrder());
+    b->schedScore = a->schedScore; // A tie the arrival order keeps.
+    EXPECT_TRUE(qp.low.inOrder());
+    b->schedClassRank = 0;
+    a->schedClassRank = 1; // a now ranks after every peer.
+    EXPECT_FALSE(qp.low.inOrder());
+    // A pending member is not consulted.
+    qp.low.markDirty(a);
+    EXPECT_TRUE(qp.low.inOrder());
 }
 
 } // namespace
