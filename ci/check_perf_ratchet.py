@@ -24,8 +24,11 @@ Work-counter gate: each result row's ``cluster.plan.full_walks`` (a
 deterministic count, identical on every machine and run) must not
 exceed the committed row with the same (shape, mode, trace), with zero
 slack. Rows without a committed match, such as the nightly ``--big``
-rows, are skipped. Any increase must be explained and the committed
-JSON refreshed.
+rows, are skipped. A fresh row that lacks the counter its committed
+twin carries fails, and so does a ``--work-only`` run that compares
+no row at all (every shape renamed, or no committed counters): a gate
+that checked nothing must not pass. Any increase must be explained
+and the committed JSON refreshed.
 
 A JSON with no ``speedup`` object (e.g. ``BENCH_slo_classes.json``)
 skips the speedup ratchet and the work-counter gate and checks only
@@ -66,19 +69,29 @@ def row_counter(row, name):
 
 def check_work_counters(new_doc, committed_doc):
     """Exact gate: no row may do more full walks than its committed
-    twin. Returns True on a regression."""
+    twin, and a fresh row may not drop the counter its twin carries.
+    Returns (failed, number of rows compared)."""
     committed = {}
     for row in committed_doc.get("results", []):
         value = row_counter(row, WORK_COUNTER)
         if value is not None:
             committed[(row["shape"], row["mode"], row["trace"])] = value
     failed = False
+    compared = 0
     for row in new_doc.get("results", []):
         key = (row.get("shape"), row.get("mode"), row.get("trace"))
-        value = row_counter(row, WORK_COUNTER)
-        if value is None or key not in committed:
+        if key not in committed:
             continue
         baseline = committed[key]
+        value = row_counter(row, WORK_COUNTER)
+        if value is None:
+            print(
+                f"WORK FAIL {key[0]} {key[1]}: {WORK_COUNTER} missing "
+                f"(committed {baseline:.0f})"
+            )
+            failed = True
+            continue
+        compared += 1
         verdict = "ok" if value <= baseline else "WORK FAIL"
         print(
             f"{verdict} {key[0]} {key[1]}: {WORK_COUNTER} {value:.0f} vs "
@@ -86,7 +99,7 @@ def check_work_counters(new_doc, committed_doc):
         )
         if value > baseline:
             failed = True
-    return failed
+    return failed, compared
 
 
 def load_speedups(doc, path):
@@ -108,11 +121,20 @@ def main(argv):
 
     new_doc = load_doc(new_path)
     if work_only:
-        failed = check_work_counters(new_doc, load_doc(committed_path))
+        failed, compared = check_work_counters(
+            new_doc, load_doc(committed_path)
+        )
+        if compared == 0:
+            print(
+                f"WORK FAIL: no row of {new_path} matched a committed "
+                f"{WORK_COUNTER} row in {committed_path}"
+            )
+            failed = True
         if failed:
             print(
-                f"\n{WORK_COUNTER} grew against {committed_path}; explain "
-                "the increase and refresh the committed JSON."
+                f"\n{WORK_COUNTER} grew, went missing, or matched no row "
+                f"against {committed_path}; explain the change and refresh "
+                "the committed JSON."
             )
         return 1 if failed else 0
 
@@ -138,7 +160,7 @@ def main(argv):
             )
             if current < floor:
                 failed = True
-        if check_work_counters(new_doc, committed_doc):
+        if check_work_counters(new_doc, committed_doc)[0]:
             failed = True
 
     for key, label, budget in (

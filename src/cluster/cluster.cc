@@ -134,8 +134,9 @@ Cluster::Cluster(sim::Simulator& sim, const SystemConfig& cfg)
                      [this] { return totalSloHeapRekeys(); });
     // Why each non-reused boundary declined reuse (after a repair) or
     // repair (after a full walk); the reasons sum to repairs + full
-    // walks.
-    for (std::size_t d = 0; d < core::numPlanDeclineNames(); ++d) {
+    // walks. A repair or walk always names a reason and a reuse counts
+    // none, so PlanDecline::None (index 0) gets no row.
+    for (std::size_t d = 1; d < core::numPlanDeclineNames(); ++d) {
         registry.counter(
             std::string("cluster.plan.decline.") +
                 core::planDeclineNames()[d],
@@ -486,8 +487,7 @@ Cluster::classAdmissionShed(workload::Request* req)
         freeGpuKvFraction() < p.shedKvFloor) {
         shed = true;
     }
-    if (!shed && cfg.sloClasses.shedOnNegativeSlack &&
-        p.relativeDeadline > 0.0) {
+    if (!shed && p.relativeDeadline > 0.0) {
         // Optimistic completion bound: one clean prefill pass plus a
         // batch-1 decode step per remaining token on an otherwise idle
         // instance. If even that misses the deadline, admitting the

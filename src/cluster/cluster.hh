@@ -222,11 +222,6 @@ class Cluster
     /** Snapshot every registered stat (registration order). */
     obs::StatDump dumpStats() const { return registry.dump(); }
 
-    /** The trace sink, or nullptr when cfg.telemetry.traceEnabled is
-     *  off. */
-    obs::TraceSink* traceSink() { return trace.get(); }
-    const obs::TraceSink* traceSink() const { return trace.get(); }
-
     /** Chrome trace-event JSON of the recorded ring ("" when tracing
      *  is off). */
     std::string traceJson() const

@@ -99,9 +99,10 @@ struct RunResult
     /** @{ */
     std::array<ClassOutcome, workload::kNumSloClasses> perClass{};
 
-    /** Per-class latency/QoE rollups over perRequest (left
-     *  zero-initialized in streaming mode, which keeps no rows). */
-    std::array<qoe::ClassAggregate, workload::kNumSloClasses>
+    /** Per-class rollups over perRequest, by the same rule as
+     *  aggregate (qoe::Rollup); left zero-initialized in streaming
+     *  mode, which keeps no rows. */
+    std::array<qoe::AggregateMetrics, workload::kNumSloClasses>
         classAggregates{};
     /** @} */
 

@@ -182,9 +182,6 @@ enum class PlanDecline : std::uint8_t
     BatchLimit,     //!< Patched batch empty or over maxBatchSize.
 };
 
-/** Stable lowercase name of @p d (trace "reason" arg rendering). */
-const char* planDeclineName(PlanDecline d);
-
 /** The full name table, index == enum value (TraceSink reason
  *  table). */
 const char* const* planDeclineNames();

@@ -88,69 +88,5 @@ LogHistogram::relativeError() const
     return std::sqrt(gammaVal) - 1.0;
 }
 
-void
-MetricFamily::add(double x)
-{
-    moments.add(x);
-    hist.add(x);
-}
-
-void
-StreamingMetrics::fold(const qoe::RequestMetrics& m)
-{
-    ++requests;
-    firstArrival = std::min(firstArrival, m.arrival);
-    if (!m.finished)
-        return;
-    ++finished;
-    ttftFam.add(m.ttft);
-    e2eFam.add(m.e2eLatency);
-    answeringFam.add(m.answeringLatency);
-    blockingFam.add(m.blockingLatency);
-    for (double t : m.kvTransferLatencies)
-        kvFam.add(t);
-    qoeFam.add(m.qoe);
-    if (m.sloViolated)
-        ++violations;
-    lastFinish = std::max(lastFinish, m.arrival + m.e2eLatency);
-    totalTokens += m.reasoningTokens + m.answerTokens;
-    migrations += m.migrationCount;
-}
-
-qoe::AggregateMetrics
-StreamingMetrics::aggregate() const
-{
-    qoe::AggregateMetrics agg;
-    agg.numRequests = requests;
-    agg.numFinished = finished;
-    if (requests == 0 || finished == 0)
-        return agg;
-
-    agg.makespan = lastFinish - firstArrival;
-    if (agg.makespan > 0.0) {
-        agg.throughputTokensPerSec =
-            static_cast<double>(totalTokens) / agg.makespan;
-    }
-
-    agg.meanTtft = ttftFam.mean();
-    agg.maxTtft = ttftFam.max();
-    agg.p50Ttft = ttftFam.quantile(50.0);
-    agg.p99Ttft = ttftFam.quantile(99.0);
-
-    agg.meanE2eLatency = e2eFam.mean();
-    agg.p50E2eLatency = e2eFam.quantile(50.0);
-    agg.p99E2eLatency = e2eFam.quantile(99.0);
-    agg.meanAnsweringLatency = answeringFam.mean();
-
-    agg.p99BlockingLatency = blockingFam.quantile(99.0);
-    agg.p99KvTransferLatency = kvFam.quantile(99.0);
-
-    agg.meanQoe = qoeFam.mean();
-    agg.sloViolationRate = static_cast<double>(violations) /
-                           static_cast<double>(finished);
-    agg.totalMigrations = migrations;
-    return agg;
-}
-
 } // namespace obs
 } // namespace pascal

@@ -9,14 +9,16 @@
  * recycling then fully bounds simulation memory: a 10M-request soak
  * holds only live requests plus these sketches.
  *
- * Per metric family (TTFT, E2E, answering, blocking, QoE, KV
- * transfer):
- *   - stats::Summary — exact count/mean/min/max/stddev (Welford);
- *     means and maxima in the aggregate are exact, not estimates.
- *   - LogHistogram — log-spaced buckets (gamma = 1.005). Quantiles
- *     report the geometric bucket center, so the relative error is
- *     at most sqrt(gamma) - 1 ~= 0.25%, well inside the 1% tolerance
- *     the tier-1 test pins for p50/p95/p99 TTFT.
+ * The fold is qoe::Rollup's, the same one qoe::aggregateMetrics
+ * runs over the full vector; only the percentile source differs:
+ *   - stats::Summary — exact count/mean/max (Welford) for TTFT, E2E,
+ *     answering latency and QoE; means and maxima in the aggregate
+ *     are exact, not estimates.
+ *   - LogHistogram — log-spaced buckets (gamma = 1.005) for the
+ *     percentile families: TTFT, E2E, blocking and KV transfer.
+ *     Quantiles report the geometric bucket center, so the relative
+ *     error is at most sqrt(gamma) - 1 ~= 0.25%, well inside the 1%
+ *     tolerance the tier-1 test pins for p50/p95/p99 TTFT.
  *
  * Folding is deterministic: requests retire in simulation order, and
  * every accumulator is order-insensitive for the values it reports
@@ -31,7 +33,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/stats.hh"
 #include "src/common/types.hh"
 #include "src/qoe/metrics.hh"
 
@@ -90,70 +91,13 @@ class LogHistogram
     std::int64_t baseIndex = 0;
 };
 
-/** One metric family: exact moments plus a quantile sketch. */
-class MetricFamily
-{
-  public:
-    /** Fold one sample into every accumulator. */
-    void add(double x);
-
-    std::size_t count() const { return moments.count(); }
-    double mean() const { return moments.mean(); }
-    double min() const { return moments.min(); }
-    double max() const { return moments.max(); }
-    double stddev() const { return moments.stddev(); }
-
-    /** Histogram quantile at percentile @p p in [0, 100]. */
-    double quantile(double p) const { return hist.quantile(p); }
-
-    const LogHistogram& histogram() const { return hist; }
-
-  private:
-    stats::Summary moments;
-    LogHistogram hist;
-};
-
 /**
- * Bounded-memory aggregate over a run's requests. Copyable: the
- * cluster snapshots it at result time and folds still-live requests
- * into the copy without disturbing the running accumulation.
+ * Bounded-memory aggregate over a run's requests: the exact rollup's
+ * rule with log-histogram percentiles. Copyable: the cluster
+ * snapshots it at result time and folds still-live requests into the
+ * copy without disturbing the running accumulation.
  */
-class StreamingMetrics
-{
-  public:
-    /** Fold one request's metrics (unfinished requests contribute
-     *  only arrival/count, mirroring qoe::aggregateMetrics). */
-    void fold(const qoe::RequestMetrics& m);
-
-    /** Render the same rollup qoe::aggregateMetrics computes from
-     *  the full per-request vector, with sketch percentiles. */
-    qoe::AggregateMetrics aggregate() const;
-
-    std::size_t numRequests() const { return requests; }
-    std::size_t numFinished() const { return finished; }
-
-    const MetricFamily& ttft() const { return ttftFam; }
-    const MetricFamily& e2e() const { return e2eFam; }
-    const MetricFamily& answering() const { return answeringFam; }
-    const MetricFamily& blocking() const { return blockingFam; }
-    const MetricFamily& qoe() const { return qoeFam; }
-
-  private:
-    MetricFamily ttftFam;
-    MetricFamily e2eFam;
-    MetricFamily answeringFam;
-    MetricFamily blockingFam;
-    MetricFamily qoeFam;
-    MetricFamily kvFam;
-
-    std::size_t requests = 0;
-    std::size_t finished = 0;
-    std::size_t violations = 0;
-    Time firstArrival = kTimeInfinity;
-    Time lastFinish = 0.0;
-    TokenCount totalTokens = 0;
-    int migrations = 0;
-};
+using StreamingMetrics = qoe::Rollup<LogHistogram>;
 
 } // namespace obs
 } // namespace pascal

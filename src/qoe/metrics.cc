@@ -1,8 +1,5 @@
 #include "src/qoe/metrics.hh"
 
-#include <algorithm>
-
-#include "src/common/stats.hh"
 #include "src/qoe/qoe.hh"
 
 namespace pascal
@@ -81,121 +78,21 @@ computeRequestMetrics(const workload::Request& req, const SloConfig& slo,
 AggregateMetrics
 aggregateMetrics(const std::vector<RequestMetrics>& requests)
 {
-    AggregateMetrics agg;
-    agg.numRequests = requests.size();
-    if (requests.empty())
-        return agg;
-
-    // Single pass: every mean/count/extremum streams through a
-    // Welford Summary, and the sample vectors that percentiles
-    // genuinely need are filled exactly once (reserved up front) and
-    // sorted exactly once each — a million-request run no longer
-    // copies and re-sorts the same latencies once per quantile.
-    std::vector<double> ttfts, e2es, blockings, transfers;
-    ttfts.reserve(requests.size());
-    e2es.reserve(requests.size());
-    blockings.reserve(requests.size());
-    stats::Summary ttft_sum;
-    stats::Summary e2e_sum;
-    stats::Summary qoe_sum;
-    stats::Summary answering_sum;
-    Time first_arrival = kTimeInfinity;
-    Time last_finish = 0.0;
-    TokenCount total_tokens = 0;
-    std::size_t violations = 0;
-
-    for (const auto& m : requests) {
-        first_arrival = std::min(first_arrival, m.arrival);
-        if (!m.finished)
-            continue;
-        ++agg.numFinished;
-        ttft_sum.add(m.ttft);
-        ttfts.push_back(m.ttft);
-        e2e_sum.add(m.e2eLatency);
-        e2es.push_back(m.e2eLatency);
-        answering_sum.add(m.answeringLatency);
-        blockings.push_back(m.blockingLatency);
-        for (double t : m.kvTransferLatencies)
-            transfers.push_back(t);
-        qoe_sum.add(m.qoe);
-        if (m.sloViolated)
-            ++violations;
-        last_finish = std::max(last_finish, m.arrival + m.e2eLatency);
-        total_tokens += m.reasoningTokens + m.answerTokens;
-        agg.totalMigrations += m.migrationCount;
-    }
-
-    if (agg.numFinished == 0)
-        return agg;
-
-    agg.makespan = last_finish - first_arrival;
-    if (agg.makespan > 0.0) {
-        agg.throughputTokensPerSec =
-            static_cast<double>(total_tokens) / agg.makespan;
-    }
-
-    std::sort(ttfts.begin(), ttfts.end());
-    agg.meanTtft = ttft_sum.mean();
-    agg.maxTtft = ttft_sum.max();
-    agg.p50Ttft = stats::percentileOfSorted(ttfts, 50.0);
-    agg.p99Ttft = stats::percentileOfSorted(ttfts, 99.0);
-
-    std::sort(e2es.begin(), e2es.end());
-    agg.meanE2eLatency = e2e_sum.mean();
-    agg.p50E2eLatency = stats::percentileOfSorted(e2es, 50.0);
-    agg.p99E2eLatency = stats::percentileOfSorted(e2es, 99.0);
-    agg.meanAnsweringLatency = answering_sum.mean();
-
-    std::sort(blockings.begin(), blockings.end());
-    agg.p99BlockingLatency =
-        stats::percentileOfSorted(blockings, 99.0);
-    std::sort(transfers.begin(), transfers.end());
-    agg.p99KvTransferLatency =
-        stats::percentileOfSorted(transfers, 99.0);
-
-    agg.meanQoe = qoe_sum.mean();
-    agg.sloViolationRate = static_cast<double>(violations) /
-                           static_cast<double>(agg.numFinished);
-    return agg;
+    Rollup<SortedSamples> rollup;
+    for (const auto& m : requests)
+        rollup.fold(m);
+    return rollup.aggregate();
 }
 
-std::array<ClassAggregate, workload::kNumSloClasses>
+std::array<AggregateMetrics, workload::kNumSloClasses>
 aggregateByClass(const std::vector<RequestMetrics>& requests)
 {
-    std::array<ClassAggregate, workload::kNumSloClasses> out{};
-    std::array<std::vector<double>, workload::kNumSloClasses> ttfts;
-    std::array<stats::Summary, workload::kNumSloClasses> ttft_sums;
-    std::array<stats::Summary, workload::kNumSloClasses> e2e_sums;
-    std::array<stats::Summary, workload::kNumSloClasses> qoe_sums;
-    std::array<std::size_t, workload::kNumSloClasses> violations{};
-
-    for (const auto& m : requests) {
-        std::size_t i = workload::sloClassIndex(m.sloClass);
-        ++out[i].numRequests;
-        if (!m.finished)
-            continue;
-        ++out[i].numFinished;
-        ttft_sums[i].add(m.ttft);
-        ttfts[i].push_back(m.ttft);
-        e2e_sums[i].add(m.e2eLatency);
-        qoe_sums[i].add(m.qoe);
-        if (m.sloViolated)
-            ++violations[i];
-    }
-
-    for (std::size_t i = 0; i < workload::kNumSloClasses; ++i) {
-        if (out[i].numFinished == 0)
-            continue;
-        std::sort(ttfts[i].begin(), ttfts[i].end());
-        out[i].meanTtft = ttft_sums[i].mean();
-        out[i].p50Ttft = stats::percentileOfSorted(ttfts[i], 50.0);
-        out[i].p99Ttft = stats::percentileOfSorted(ttfts[i], 99.0);
-        out[i].meanE2eLatency = e2e_sums[i].mean();
-        out[i].meanQoe = qoe_sums[i].mean();
-        out[i].sloViolationRate =
-            static_cast<double>(violations[i]) /
-            static_cast<double>(out[i].numFinished);
-    }
+    std::array<Rollup<SortedSamples>, workload::kNumSloClasses> rollups;
+    for (const auto& m : requests)
+        rollups[workload::sloClassIndex(m.sloClass)].fold(m);
+    std::array<AggregateMetrics, workload::kNumSloClasses> out;
+    for (std::size_t i = 0; i < workload::kNumSloClasses; ++i)
+        out[i] = rollups[i].aggregate();
     return out;
 }
 

@@ -13,10 +13,12 @@
 #ifndef PASCAL_QOE_METRICS_HH
 #define PASCAL_QOE_METRICS_HH
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
 
+#include "src/common/stats.hh"
 #include "src/common/types.hh"
 #include "src/qoe/slo.hh"
 #include "src/workload/request.hh"
@@ -95,7 +97,9 @@ RequestMetrics computeRequestMetrics(
     const workload::Request& req, const SloConfig& slo,
     const SloClassConfig* classes = nullptr);
 
-/** Cluster-level rollup of a run. */
+/** Rollup of a set of requests (a run, or one SLO class of it).
+ *  Latency stats cover finished requests only; a rollup with none
+ *  reports numRequests and numFinished alone. */
 struct AggregateMetrics
 {
     std::size_t numRequests = 0;
@@ -119,27 +123,133 @@ struct AggregateMetrics
     int totalMigrations = 0;
 };
 
+/** Exact percentile source: every sample, sorted on the first read
+ *  after an add (stats::percentileOfSorted, 0 when empty). */
+class SortedSamples
+{
+  public:
+    void
+    add(double x)
+    {
+        values.push_back(x);
+        sorted = false;
+    }
+
+    double
+    quantile(double p) const
+    {
+        if (!sorted) {
+            std::sort(values.begin(), values.end());
+            sorted = true;
+        }
+        return stats::percentileOfSorted(values, p);
+    }
+
+  private:
+    mutable std::vector<double> values;
+    mutable bool sorted = true;
+};
+
+/**
+ * The one aggregation rule: which requests a rollup counts and how
+ * it turns them into means, percentiles and rates.
+ *
+ * Every request counts toward numRequests and the first arrival;
+ * only finished ones feed anything else. Means and maxima are
+ * stats::Summary values in fold order. Percentiles come from
+ * @p Samples (add(double), quantile(p) for p in [0, 100]):
+ * SortedSamples for the exact rollup, obs::LogHistogram for the
+ * bounded-memory streaming one. Families that report only a mean
+ * (answering latency, QoE) keep no samples.
+ */
+template <typename Samples>
+class Rollup
+{
+  public:
+    void
+    fold(const RequestMetrics& m)
+    {
+        ++requests;
+        firstArrival = std::min(firstArrival, m.arrival);
+        if (!m.finished)
+            return;
+        ++finished;
+        ttftSum.add(m.ttft);
+        ttfts.add(m.ttft);
+        e2eSum.add(m.e2eLatency);
+        e2es.add(m.e2eLatency);
+        answeringSum.add(m.answeringLatency);
+        blockings.add(m.blockingLatency);
+        for (double t : m.kvTransferLatencies)
+            transfers.add(t);
+        qoeSum.add(m.qoe);
+        if (m.sloViolated)
+            ++violations;
+        lastFinish = std::max(lastFinish, m.arrival + m.e2eLatency);
+        totalTokens += m.reasoningTokens + m.answerTokens;
+        migrations += m.migrationCount;
+    }
+
+    AggregateMetrics
+    aggregate() const
+    {
+        AggregateMetrics agg;
+        agg.numRequests = requests;
+        agg.numFinished = finished;
+        if (finished == 0)
+            return agg;
+
+        agg.makespan = lastFinish - firstArrival;
+        if (agg.makespan > 0.0) {
+            agg.throughputTokensPerSec =
+                static_cast<double>(totalTokens) / agg.makespan;
+        }
+        agg.meanTtft = ttftSum.mean();
+        agg.maxTtft = ttftSum.max();
+        agg.p50Ttft = ttfts.quantile(50.0);
+        agg.p99Ttft = ttfts.quantile(99.0);
+        agg.meanE2eLatency = e2eSum.mean();
+        agg.p50E2eLatency = e2es.quantile(50.0);
+        agg.p99E2eLatency = e2es.quantile(99.0);
+        agg.meanAnsweringLatency = answeringSum.mean();
+        agg.p99BlockingLatency = blockings.quantile(99.0);
+        agg.p99KvTransferLatency = transfers.quantile(99.0);
+        agg.meanQoe = qoeSum.mean();
+        agg.sloViolationRate = static_cast<double>(violations) /
+                               static_cast<double>(finished);
+        agg.totalMigrations = migrations;
+        return agg;
+    }
+
+    /** TTFT percentile source over finished requests. */
+    const Samples& ttft() const { return ttfts; }
+
+  private:
+    stats::Summary ttftSum;
+    stats::Summary e2eSum;
+    stats::Summary answeringSum;
+    stats::Summary qoeSum;
+    Samples ttfts;
+    Samples e2es;
+    Samples blockings;
+    Samples transfers;
+
+    std::size_t requests = 0;
+    std::size_t finished = 0;
+    std::size_t violations = 0;
+    Time firstArrival = kTimeInfinity;
+    Time lastFinish = 0.0;
+    TokenCount totalTokens = 0;
+    int migrations = 0;
+};
+
 /** Roll up a set of per-request metrics. */
 AggregateMetrics aggregateMetrics(
     const std::vector<RequestMetrics>& requests);
 
-/** Per-class rollup (subset of AggregateMetrics that is meaningful
- *  per tenant class). Latency stats cover finished requests only. */
-struct ClassAggregate
-{
-    std::size_t numRequests = 0;
-    std::size_t numFinished = 0;
-    double meanTtft = 0.0;
-    double p50Ttft = 0.0;
-    double p99Ttft = 0.0;
-    double meanE2eLatency = 0.0;
-    double meanQoe = 0.0;
-    double sloViolationRate = 0.0;
-};
-
 /** Roll up @p requests per SLO class (demoted best-effort requests
  *  count against their nominal class). */
-std::array<ClassAggregate, workload::kNumSloClasses>
+std::array<AggregateMetrics, workload::kNumSloClasses>
 aggregateByClass(const std::vector<RequestMetrics>& requests);
 
 } // namespace qoe

@@ -129,16 +129,11 @@ struct SloClassConfig
     bool enforceDeadlines = true;
 
     /** Apply the per-class admission floors and the negative-slack
-     *  shed. Off gives a classes-on/shed-off baseline. */
+     *  shed (an arrival whose optimistic service-time lower bound
+     *  already exceeds its class deadline cannot meet it, so
+     *  admitting it only steals capacity from feasible work). Off
+     *  gives a classes-on/shed-off baseline. */
     bool overloadControl = true;
-
-    /**
-     * Shed an arrival whose predicted minimal service time (a perf
-     * lower bound assuming a dedicated instance) already exceeds its
-     * class deadline — it cannot possibly meet it, so admitting it
-     * only steals capacity from feasible work.
-     */
-    bool shedOnNegativeSlack = true;
 
     /** Per-class knobs, indexed by workload::SloClass. */
     std::array<SloClassParams, workload::kNumSloClasses> classes = {{
