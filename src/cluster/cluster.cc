@@ -687,9 +687,10 @@ Cluster::crashImpl(InstanceId id, obs::TraceName why)
     orphanScratch.clear();
     instances[static_cast<std::size_t>(id)]->crash(
         cfg.fault.preserveCpuKv, orphanScratch);
-    // Re-queue in detach order (deterministic: the hosted walk is
-    // insertion-ordered), so same-seed replays place the orphans
-    // identically.
+    // Re-queue in detach order: the order of the scheduler's
+    // swap-pop hosted vector. That is not insertion order once any
+    // request has left, but it is a deterministic function of the
+    // run, so same-seed replays place the orphans identically.
     for (auto* r : orphanScratch)
         requeueRequest(r);
     orphanScratch.clear();

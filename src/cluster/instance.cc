@@ -446,10 +446,10 @@ Instance::crash(bool preserve_cpu_kv,
     deadlineDeferred.clear();
     // detach() settles any lazy stretch, applying the abandoned
     // step's start (its wall time stays booked as executed), and
-    // mutates the scheduler's hosted set; walk a copy. The
-    // hosted order is deterministic (insertion order via swap-pop
-    // vector), so the orphan list — and every retry placement made
-    // from it — replays byte-identically.
+    // mutates the scheduler's hosted set; walk a copy. The copy
+    // keeps the swap-pop vector's order: not insertion order once a
+    // request has left, but deterministic, so the orphan list — and
+    // every retry placement made from it — replays byte-identically.
     scratchHosted.assign(sched->hosted().begin(),
                          sched->hosted().end());
     for (auto* r : scratchHosted) {
@@ -1011,9 +1011,6 @@ Instance::registerStats(obs::StatRegistry& reg,
     reg.counter(prefix + ".plan.full_walks",
                 [this] { return planBuilds - planRepairs; });
     reg.counter(prefix + ".slo.rekeys", &sloRekeys);
-    reg.counter(prefix + ".queue.compactions", [this] {
-        return sched->numQueueCompactions();
-    });
     reg.gauge(prefix + ".kv.gpu_capacity", [this] {
         return static_cast<double>(kvPool.gpuCapacity());
     });

@@ -331,9 +331,8 @@ class Instance
     /**
      * Register this instance's counters/gauges on @p reg under
      * @p prefix (e.g. "instance.3"): engine counters, plan fast-path
-     * counters, SLO-heap rekeys, the policy queues' arena compactions
-     * (queue.compactions, summed over the high and low queue), KV
-     * pool gauges, and the decode batch-size distribution.
+     * counters, SLO-heap rekeys, KV pool gauges, and the decode
+     * batch-size distribution.
      * Registration is non-owning pointers/functors — the hot path
      * keeps its bare member increments.
      */

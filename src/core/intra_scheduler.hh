@@ -385,13 +385,6 @@ class IntraScheduler
      *  repair declined (None after a Reuse). */
     PlanDecline lastDecline() const { return decline; }
 
-    /** Arena compactions of the high and low policy queues (stat
-     *  registry: <instance>.queue.compactions). */
-    std::uint64_t numQueueCompactions() const
-    {
-        return highQueue.numCompactions() + lowQueue.numCompactions();
-    }
-
   protected:
     /** True if @p req can be considered for scheduling at all.
      *  Inline: evaluated once per walked candidate per plan. */

@@ -5,19 +5,15 @@
  *
  * A scheduler queue spends thousands of consecutive decode iterations
  * with an unchanged membership and unchanged ordering keys, so sorting
- * it from scratch every iteration (the pre-optimization behaviour) is
- * almost always wasted work. Earlier revisions kept a sorted vector
- * with lazy tombstones, but its repair still paid an O(n) compaction
- * pass per dirty batch — the last super-linear term on churn-heavy
- * million-request sweeps. The queue is now a deterministic
- * doubly-linked skip list:
+ * it from scratch every iteration is almost always wasted work. The
+ * queue is a deterministic doubly-linked skip list:
  *
  *  - steady state (no mutations):      repair() is O(1) (a no-op),
  *  - erase / markDirty:                O(log n) — the node unlinks
  *    itself through its per-level prev/next pointers, so no search
  *    (and therefore no still-valid key) is needed,
  *  - repair() with d pending inserts:  strictly O(d log n), no
- *    compaction or merge pass ever walks the clean majority,
+ *    pass ever walks the clean majority,
  *  - comparator invariant:             iteration yields exactly the
  *    order std::sort produces with the same strict total order,
  *    which is what the force-resort invariance tests pin down.
@@ -50,22 +46,17 @@
  * how the greedy walk's early-exit settle pass reads the unreached
  * residents pre-sorted.
  *
- * Generation-segregated arena compaction: node recycling through the
- * per-height free lists keeps memory bounded but slowly randomizes
- * node addresses, so a long-run level-0 walk stops being
- * prefetch-sequential. repair() tracks recycle churn and, past a
- * deterministic threshold, relinks every surviving node into fresh
- * arenas in level-0 order (O(linked), amortized O(1) per unlink) —
- * the next generation's walk is address-sequential again. Ordering
- * and operation results are unchanged; only addresses move.
+ * Memory: nodes are bump-allocated from arenas and an unlinked node
+ * goes back to its height's free list, so the arenas never hold more
+ * nodes than the peak number linked at once.
  *
- * Contract notes (unchanged from the sorted-vector revision):
- * insert()/markDirty() defer to the next repair(), which reads the
- * request's ordering key at repair time — callers may mutate keys
- * freely between the notification and the repair. erase() and
- * noteMaterialized() take effect immediately (noteMaterialized
- * additionally requires the key to be valid when called; the engine
- * calls it at KV allocation, which never moves a key).
+ * Contract: insert()/markDirty() defer to the next repair(), which
+ * reads the request's ordering key at repair time — callers may
+ * mutate keys freely between the notification and the repair.
+ * erase() and noteMaterialized() take effect immediately
+ * (noteMaterialized additionally requires the key to be valid when
+ * called; the engine calls it at KV allocation, which never moves a
+ * key).
  */
 
 #ifndef PASCAL_CORE_ORDERED_QUEUE_HH
@@ -129,12 +120,11 @@ class OrderedQueue
     static_assert(sizeof(Node) % alignof(Link) == 0,
                   "tower links must start aligned");
 
-    /** One skip list (sentinel head + level bound + size). */
+    /** One skip list (sentinel head + level bound). */
     struct SubList
     {
         Node* head = nullptr; //!< kMaxHeight sentinel (arena-owned).
         int maxLevel = 1;
-        std::size_t linked = 0;
     };
 
   public:
@@ -144,8 +134,14 @@ class OrderedQueue
     {
         if (tag == 0)
             panic("OrderedQueue tag must be nonzero");
-        for (SubList* s : {&material, &waiting})
-            s->head = allocSentinel();
+        // Each sublist starts from a zero-linked kMaxHeight sentinel.
+        for (SubList* s : {&material, &waiting}) {
+            Node* head = allocNode(kMaxHeight);
+            *head = Node{nullptr, kMaxHeight, false};
+            for (int l = 0; l < kMaxHeight; ++l)
+                head->links()[l] = Link{nullptr, nullptr};
+            s->head = head;
+        }
     }
 
     /**
@@ -292,16 +288,11 @@ class OrderedQueue
     /**
      * Re-establish the sorted invariant: every pending request is
      * inserted at its key's unique position — O(pending x log n),
-     * with no pass over the clean members. Past the churn threshold
-     * this also compacts the arenas first, so the pending nodes land
-     * in the fresh generation too.
+     * with no pass over the clean members.
      */
     void
     repair()
     {
-        if (recycleChurn >= kCompactMinChurn &&
-            recycleChurn >= 4 * (material.linked + waiting.linked))
-            compact();
         for (auto* r : pending) {
             r->schedDirtyPending = false;
             link(r);
@@ -333,9 +324,6 @@ class OrderedQueue
         }
         return true;
     }
-
-    /** Arena compactions performed so far (diagnostic). */
-    std::uint64_t numCompactions() const { return compactions; }
 
   private:
     /** Deterministic tower height: a pure bit mix of the request id
@@ -379,61 +367,6 @@ class OrderedQueue
         return reinterpret_cast<Node*>(p);
     }
 
-    /** Allocate and zero-link a kMaxHeight sentinel head. */
-    Node*
-    allocSentinel()
-    {
-        Node* head = allocNode(kMaxHeight);
-        head->req = nullptr;
-        head->height = kMaxHeight;
-        head->mat = false;
-        for (int l = 0; l < kMaxHeight; ++l)
-            head->links()[l] = Link{nullptr, nullptr};
-        return head;
-    }
-
-    /**
-     * Generation-segregated compaction: relink every surviving node
-     * (both sublists, level-0 order) into fresh arenas via a
-     * per-level last-node spine, drop the old arenas and free lists.
-     * O(linked); ordering untouched — only node addresses change, so
-     * the next generation's level-0 walk is address-sequential.
-     */
-    void
-    compact()
-    {
-        ++compactions;
-        recycleChurn = 0;
-        std::vector<std::unique_ptr<char[]>> retired =
-            std::move(arenas);
-        arenas.clear();
-        arenaUsed = 0;
-        for (auto& free : freeNodes)
-            free.clear();
-        for (SubList* s : {&material, &waiting}) {
-            Node* old = s->head;
-            Node* head = allocSentinel();
-            Node* last[kMaxHeight];
-            for (int l = 0; l < kMaxHeight; ++l)
-                last[l] = head;
-            for (Node* n = old->next(0); n != nullptr; n = n->next(0)) {
-                Node* copy = allocNode(n->height);
-                copy->req = n->req;
-                copy->height = n->height;
-                copy->mat = n->mat;
-                copy->req->schedNode = copy;
-                for (int l = 0; l < copy->height; ++l) {
-                    copy->links()[l] = Link{nullptr, last[l]};
-                    last[l]->links()[l].next = copy;
-                    last[l] = copy;
-                }
-            }
-            s->head = head;
-        }
-        // `retired` keeps the old generation alive until the walk
-        // above has copied every node out of it.
-    }
-
     /** Insert @p r's node (sublist per its current materiality) at
      *  the position its current key dictates. */
     void
@@ -463,7 +396,6 @@ class OrderedQueue
                     succ->links()[l].prev = node;
             }
         }
-        ++s.linked;
     }
 
     /** Unlink @p r's node in O(height) via its own level pointers. */
@@ -480,19 +412,12 @@ class OrderedQueue
             if (link.next != nullptr)
                 link.next->links()[l].prev = link.prev;
         }
-        SubList& s = node->mat ? material : waiting;
-        --s.linked;
         r->schedNode = nullptr;
         node->req = nullptr;
         freeNodes[node->height].push_back(node);
-        ++recycleChurn;
     }
 
     static constexpr std::size_t kArenaBytes = 1 << 16;
-
-    /** Compaction trigger floor: below this many recycles the level-0
-     *  walk is still mostly generation-ordered, so don't bother. */
-    static constexpr std::size_t kCompactMinChurn = 4096;
 
     std::uint8_t tag;
     std::vector<workload::Request*> pending;
@@ -503,9 +428,6 @@ class OrderedQueue
     std::vector<Node*> freeNodes[kMaxHeight + 1];
     SubList material;
     SubList waiting;
-    /** Nodes recycled since the last compaction. */
-    std::size_t recycleChurn = 0;
-    std::uint64_t compactions = 0;
 };
 
 } // namespace core

@@ -18,6 +18,8 @@ buildQoeCurves(const std::vector<Time>& emit_times, Time expected_start,
 
     QoeCurves curves;
     curves.generated = emit_times;
+    curves.expectedStart = expected_start;
+    curves.tpot = tpot;
     std::size_t n = emit_times.size();
     if (n == 0)
         return curves;
@@ -51,6 +53,30 @@ buildQoeCurves(const std::vector<Time>& emit_times, Time expected_start,
                      ? 1.0
                      : std::clamp(digested_area / expected_area, 0.0, 1.0);
     return curves;
+}
+
+std::size_t
+QoeCurves::generatedBy(Time t) const
+{
+    return std::upper_bound(generated.begin(), generated.end(), t) -
+           generated.begin();
+}
+
+std::size_t
+QoeCurves::digestedBy(Time t) const
+{
+    return std::upper_bound(digested.begin(), digested.end(), t) -
+           digested.begin();
+}
+
+bool
+QoeCurves::starvedAt(Time t) const
+{
+    std::size_t done = digestedBy(t);
+    if (generatedBy(t) > done)
+        return false;
+    Time next_slot = done == 0 ? expectedStart : digested[done - 1] + tpot;
+    return next_slot <= t;
 }
 
 double

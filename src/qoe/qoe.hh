@@ -13,6 +13,7 @@
 #ifndef PASCAL_QOE_QOE_HH
 #define PASCAL_QOE_QOE_HH
 
+#include <cstddef>
 #include <vector>
 
 #include "src/common/types.hh"
@@ -40,14 +41,41 @@ double computeQoe(const std::vector<Time>& emit_times,
 /**
  * The three curves of Fig. 3, sampled at each token index: expected
  * digestion time, actual digestion (pacer release) time, and raw
- * generation time. Used by the Fig. 3 bench to print the scenario.
+ * generation time. `digested` is the pacer: token k is released as
+ * soon as it exists, never before expected_start and never sooner
+ * than tpot after token k-1. Used by the Fig. 3 bench to print the
+ * scenario.
  */
 struct QoeCurves
 {
     std::vector<Time> expected;  //!< expected_start + k * tpot.
     std::vector<Time> digested;  //!< Pacer release schedule.
     std::vector<Time> generated; //!< Raw emission times.
+    Time expectedStart = 0.0;
+    Time tpot = 0.0;
     double qoe = 1.0;
+
+    /** Tokens generated by time @p t. */
+    std::size_t generatedBy(Time t) const;
+
+    /** Tokens digested (released to the user) by time @p t. */
+    std::size_t digestedBy(Time t) const;
+
+    /** Tokens in the pacer buffer at @p t: generated, not digested. */
+    std::size_t
+    bufferedAt(Time t) const
+    {
+        return generatedBy(t) - digestedBy(t);
+    }
+
+    /**
+     * True if the user starves at @p t: every token generated by t
+     * has been digested, and the next pace slot (last digest + tpot,
+     * or expected_start before the first digest) is at or before t.
+     * Past the last token the pace still calls for one, so the end of
+     * the stream reads as starved too.
+     */
+    bool starvedAt(Time t) const;
 };
 
 /** Build the Fig. 3 curves for a given emission timeline. */

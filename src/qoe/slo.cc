@@ -26,8 +26,6 @@ SloClassConfig::validate() const
             fatal("SloClassConfig: tpotTarget must be positive");
         if (p.ttfatTarget < 0.0)
             fatal("SloClassConfig: ttfatTarget must be non-negative");
-        if (p.ttftTarget < 0.0)
-            fatal("SloClassConfig: ttftTarget must be non-negative");
         if (p.shedUpFloor < 0.0 || p.shedUpFloor > 1.0)
             fatal("SloClassConfig: shedUpFloor must be in [0,1]");
         if (p.shedKvFloor < 0.0 || p.shedKvFloor > 1.0)

@@ -68,15 +68,11 @@ struct SloConfig
  *
  * tpot/ttfat override the global SloConfig targets for online
  * decisions (the instance SLO monitor) and offline scoring when the
- * class subsystem is enabled; ttft is an admission-time reference
- * only. The shed floors and the relative deadline implement the
+ * class subsystem is enabled. The shed floors and the relative deadline implement the
  * degradation order: Batch is shed/expired first, Interactive last.
  */
 struct SloClassParams
 {
-    /** Informational TTFT target (reports; not enforced online). */
-    Time ttftTarget = 1.0;
-
     /** Class TPOT target (replaces SloConfig::tpotTarget). */
     Time tpotTarget = 0.100;
 
@@ -140,14 +136,14 @@ struct SloClassConfig
         // Interactive: tight targets, short deadline, never shed by
         // class floors (only the global fault floor sheds it), fails
         // hard on expiry.
-        {0.5, 0.050, 0.25, 60.0, false, 0.0, 0.0},
+        {0.050, 0.25, 60.0, false, 0.0, 0.0},
         // Standard: the global defaults, generous deadline, shed once
         // fewer than half the instances are up or GPU KV is nearly
         // exhausted.
-        {1.0, 0.100, 0.25, 300.0, false, 0.5, 0.10},
+        {0.100, 0.25, 300.0, false, 0.5, 0.10},
         // Batch: loose targets, no deadline pressure (expiry demotes
         // to best-effort), shed first as capacity degrades.
-        {5.0, 0.200, 1.00, 0.0, true, 0.75, 0.25},
+        {0.200, 1.00, 0.0, true, 0.75, 0.25},
     }};
 
     const SloClassParams&

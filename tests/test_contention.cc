@@ -1,8 +1,7 @@
 /**
  * @file
- * Contention-focused tests: the Section V-C mechanism (simultaneous
- * KV migrations queueing on one node's fabric ingress) and
- * parameterized sweeps of the token pacer's conservation invariants.
+ * Contention-focused tests: the Section V-C mechanism, simultaneous
+ * KV migrations queueing on one node's fabric ingress.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "src/model/link.hh"
-#include "src/qoe/token_pacer.hh"
 #include "src/sim/simulator.hh"
 
 namespace
@@ -18,7 +16,6 @@ namespace
 
 using namespace pascal;
 using model::Link;
-using qoe::TokenPacer;
 using sim::Simulator;
 
 TEST(FabricContention, SimultaneousTransfersSerialize)
@@ -65,61 +62,5 @@ TEST(FabricContention, LatencyScalesWithKvSize)
     EXPECT_DOUBLE_EQ(small, 0.5);
     EXPECT_DOUBLE_EQ(big, 5.0);
 }
-
-/** Parameterized pacer sweep over pace values. */
-class PacerSweep : public testing::TestWithParam<double>
-{
-};
-
-TEST_P(PacerSweep, ReleasesAreMonotoneAndPaced)
-{
-    double pace = GetParam();
-    TokenPacer pacer(pace);
-
-    // Bursty generation: clumps of 4 tokens every 10 paces.
-    Time t = 0.0;
-    for (int clump = 0; clump < 5; ++clump) {
-        for (int i = 0; i < 4; ++i)
-            pacer.onTokenGenerated(t);
-        t += 10.0 * pace;
-    }
-
-    const auto& releases = pacer.releaseTimes();
-    ASSERT_EQ(releases.size(), 20u);
-    for (std::size_t k = 1; k < releases.size(); ++k) {
-        // Monotone, and never faster than the pace.
-        EXPECT_GE(releases[k], releases[k - 1] + pace - 1e-12);
-    }
-    // No token is released before it exists.
-    std::size_t idx = 0;
-    t = 0.0;
-    for (int clump = 0; clump < 5; ++clump) {
-        for (int i = 0; i < 4; ++i)
-            EXPECT_GE(releases[idx++], t - 1e-12);
-        t += 10.0 * pace;
-    }
-}
-
-TEST_P(PacerSweep, BufferConservation)
-{
-    double pace = GetParam();
-    TokenPacer pacer(pace);
-    for (int i = 0; i < 10; ++i)
-        pacer.onTokenGenerated(0.0);
-
-    // At any probe time: released + buffered == generated.
-    for (double probe : {0.0, 0.5 * pace, 3.0 * pace, 100.0 * pace}) {
-        EXPECT_EQ(pacer.releasedBy(probe) + pacer.bufferedAt(probe),
-                  10u);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Paces, PacerSweep,
-                         testing::Values(0.01, 0.05, 0.1, 0.5, 2.0),
-                         [](const testing::TestParamInfo<double>& info) {
-                             return "pace_" +
-                                    std::to_string(static_cast<int>(
-                                        info.param * 1000));
-                         });
 
 } // namespace
